@@ -1,8 +1,17 @@
 """Unit tests for workload generation: distributions, vocabulary, stream,
 co-occurrence, and query loads."""
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.errors import WorkloadError
 from repro.engine.queries import CombineMode
@@ -218,6 +227,58 @@ class TestStream:
         stream = self.make()
         assert stream.keyword_probability(stream.vocabulary.tag(0)) > \
             stream.keyword_probability(stream.vocabulary.tag(100))
+
+    def test_records_and_flushes_independent_of_hash_seed(self):
+        """String hashing must not reach the records or the flushes.
+
+        Each run generates a stream, digests it through kFlushing with a
+        small budget, and prints the records and ``FlushReport``s (wall
+        time stripped); runs under different ``PYTHONHASHSEED`` values
+        must print the same thing.
+        """
+        program = textwrap.dedent(
+            """
+            import dataclasses
+            from repro.config import SystemConfig
+            from repro.engine.system import MicroblogSystem
+            from repro.workload.stream import MicroblogStream, StreamConfig
+
+            stream = MicroblogStream(
+                StreamConfig(seed=7, vocabulary_size=500, user_count=200,
+                             with_locations=False)
+            )
+            records = stream.take(6_000)
+            system = MicroblogSystem(
+                SystemConfig(policy="kflushing", memory_capacity_bytes=200_000)
+            )
+            system.ingest_many(records)
+            print([(r.blog_id, r.user_id, r.keywords) for r in records])
+            print([
+                {**dataclasses.asdict(f), "wall_seconds": None}
+                for f in system.flush_reports()
+            ])
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", program],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(done.stdout)
+        assert "phase_freed" in outputs[0]
+        # Compare digests: pytest's diff of two differing outputs this
+        # long would take minutes to render.
+        records, flushes = zip(
+            *(
+                [hashlib.sha256(line.encode()).hexdigest() for line in out.splitlines()]
+                for out in outputs
+            )
+        )
+        assert records[0] == records[1], "records differ across hash seeds"
+        assert flushes[0] == flushes[1], "flush reports differ across hash seeds"
 
 
 class TestQueryLoad:
