@@ -19,20 +19,24 @@ additionally reports whether the answer is provably exact.  Setting
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from repro.core.eviction_ledger import CAUSE_NEVER_RESIDENT
 from repro.core.policy import MemoryEngine
 from repro.engine.latency import QueryCostModel
 from repro.engine.queries import CombineMode, TopKQuery
 from repro.model.microblog import Microblog
-from repro.obs import Instrumentation
+from repro.obs import Instrumentation, NullSink
 from repro.storage.disk import DiskArchive
 from repro.storage.posting_list import Posting
 from repro.storage.topk import merge_topk
 
 __all__ = ["QueryExecutor", "QueryResult"]
+
+#: Blog id of a posting (its third field), for C-level id extraction.
+_blog_id = itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class QueryResult:
 
     @property
     def blog_ids(self) -> tuple[int, ...]:
-        return tuple(p.blog_id for p in self.postings)
+        return tuple(map(_blog_id, self.postings))
 
 
 #: Backwards-compatible alias: the merge now lives in
@@ -135,16 +139,14 @@ class QueryExecutor:
     def _execute(self, query: TopKQuery, now: float) -> QueryResult:
         io_before = self._disk.stats.simulated_io_seconds
         if query.mode is CombineMode.SINGLE:
-            result = self._single(query, now)
+            answer = self._single(query)
         elif query.mode is CombineMode.OR:
-            result = self._or(query, now)
+            answer = self._or(query)
         else:
-            result = self._and(query, now)
+            answer = self._and(query)
         io_delta = self._disk.stats.simulated_io_seconds - io_before
-        result = replace(
-            result,
-            simulated_latency=self._cost.memory_cost(len(query.keys)) + io_delta,
-        )
+        latency = self._cost.memory_cost(len(query.keys)) + io_delta
+        result = QueryResult(query, *answer, now, latency)
         # Policy feedback: kFlushing stamps per-entry last-query times,
         # LRU moves the accessed records to the recency head.
         start = time.perf_counter()
@@ -154,7 +156,8 @@ class QueryExecutor:
         return result
 
     def _observe(self, query: TopKQuery, result: QueryResult) -> None:
-        """Per-mode hit/miss/disk-lookup counters plus one query event."""
+        """Per-mode hit/miss/disk-lookup counters, plus one query event
+        when a trace is open or the sink keeps events."""
         mode = query.mode.value
         registry = self._obs.registry
         registry.counter(f"query.{mode}.{'hits' if result.memory_hit else 'misses'}").inc()
@@ -182,6 +185,8 @@ class QueryExecutor:
             extra["trace"] = trace_ctx.trace_id
             if "miss_cause" in extra:
                 trace_ctx.fields["miss_cause"] = extra["miss_cause"]
+        elif isinstance(self._obs.sink, NullSink):
+            return
         self._obs.event(
             "query",
             mode=mode,
@@ -224,104 +229,96 @@ class QueryExecutor:
         return records
 
     # ------------------------------------------------------------------
-    # Single key
+    # Mode helpers: each returns ``(postings, memory_hit, provably_exact,
+    # disk_lookups)``, the answer part of a QueryResult.
     # ------------------------------------------------------------------
 
-    def _single(self, query: TopKQuery, now: float) -> QueryResult:
+    def _single(self, query: TopKQuery) -> tuple:
         key = query.keys[0]
         lookup = self._engine.lookup(key, depth=query.k)
         top = lookup.provable_top(query.k)
         if top is not None:
-            return QueryResult(query, top, True, True, 0, now)
+            return top, True, True, 0
         # Memory miss: the true top-k is contained in the union of the
         # memory top-k candidates and the disk's per-key top-k.  A disk
         # that provably holds nothing for the key contributes nothing to
         # that union, so the lookup (and its seek) can be elided.
         if self._disk.elides(key):
-            merged = _merge_topk([list(lookup.candidates)], query.k)
-            return QueryResult(query, tuple(merged), False, True, 0, now)
+            merged = _merge_topk([lookup.candidates], query.k)
+            return tuple(merged), False, True, 0
         disk_top = self._disk.lookup(key, limit=query.k)
-        merged = _merge_topk([list(lookup.candidates), disk_top], query.k)
-        return QueryResult(query, tuple(merged), False, True, 1, now)
+        merged = _merge_topk([lookup.candidates, disk_top], query.k)
+        return tuple(merged), False, True, 1
 
-    # ------------------------------------------------------------------
-    # OR
-    # ------------------------------------------------------------------
-
-    def _or(self, query: TopKQuery, now: float) -> QueryResult:
+    def _or(self, query: TopKQuery) -> tuple:
         lookups = [self._engine.lookup(key, depth=query.k) for key in query.keys]
         tops = [lookup.provable_top(query.k) for lookup in lookups]
         if all(top is not None for top in tops):
-            merged = _merge_topk([list(top) for top in tops if top], query.k)
-            return QueryResult(query, tuple(merged), True, True, 0, now)
-        groups: list[list[Posting]] = []
+            return tuple(_merge_topk(tops, query.k)), True, True, 0
+        groups: list[Sequence[Posting]] = []
         disk_lookups = 0
         for lookup, top in zip(lookups, tops):
             if top is not None:
                 # This key's in-memory top-k is provably complete: the
                 # union's top-k can only draw from it, so disk adds nothing.
-                groups.append(list(top))
+                groups.append(top)
                 continue
-            groups.append(list(lookup.candidates))
+            groups.append(lookup.candidates)
             if self._disk.elides(lookup.key):
                 continue
             groups.append(self._disk.lookup(lookup.key, limit=query.k))
             disk_lookups += 1
-        merged = _merge_topk(groups, query.k)
-        return QueryResult(query, tuple(merged), False, True, disk_lookups, now)
+        return tuple(_merge_topk(groups, query.k)), False, True, disk_lookups
 
-    # ------------------------------------------------------------------
-    # AND
-    # ------------------------------------------------------------------
-
-    def _and(self, query: TopKQuery, now: float) -> QueryResult:
+    def _and(self, query: TopKQuery) -> tuple:
+        k = query.k
         depth = self._and_scan_depth
         lookups = [self._engine.lookup(key, depth=depth) for key in query.keys]
-        # Intersect in-memory candidate ids; order by the first key's
-        # postings (all keys agree on sort keys, they are per-record).
-        id_sets = [
-            {posting.blog_id for posting in lookup.candidates} for lookup in lookups
-        ]
-        common = set.intersection(*id_sets) if id_sets else set()
-        in_memory = [p for p in lookups[0].candidates if p.blog_id in common]
-        max_floor = max(lookup.floor for lookup in lookups)
-        confirmed = [p for p in in_memory if p.sort_key > max_floor]
-        provable = len(confirmed) >= query.k and depth is None
-        if provable:
-            return QueryResult(query, tuple(confirmed[: query.k]), True, True, 0, now)
-        if len(confirmed) >= query.k:
-            # Complete above the floors, but the scan was depth-capped so
-            # items below the cap could not be inspected.
-            return QueryResult(query, tuple(confirmed[: query.k]), True, False, 0, now)
-        if not self._strict_and and len(in_memory) >= query.k:
-            # The paper's operational AND hit: k intersecting records found
-            # in memory (Section IV-D), possibly below individual floors.
-            return QueryResult(query, tuple(in_memory[: query.k]), True, False, 0, now)
-        # Miss: merge each key's memory+disk posting set, intersect, and
-        # take the top-k — exact when no scan limits are configured.
+        # Intersect in-memory candidate ids (unique per key, so memory holds
+        # k intersecting records iff ``common`` has k ids).  A Posting's
+        # tuple order is its sort key, so postings compare directly.
+        id_sets = [set(map(_blog_id, lookup.candidates)) for lookup in lookups]
+        common = set.intersection(*id_sets)
+        if len(common) >= k:
+            # Best-first, the postings above every floor form a prefix, so
+            # the k-th decides; they are the provable top-k unless the scan
+            # was depth-capped and items below the cap went unseen.
+            top = [p for p in lookups[0].candidates if p.blog_id in common][:k]
+            if top[-1] > max(lookup.floor for lookup in lookups):
+                return tuple(top), True, depth is None, 0
+            if not self._strict_and:
+                # The paper's operational AND hit: k intersecting records
+                # found in memory (Section IV-D), possibly below floors.
+                return tuple(top), True, False, 0
+        # Miss: intersect each key's memory ∪ disk ids and take the top-k,
+        # exact when no scan limits are configured.  Every key's disk is
+        # read even once the intersection is empty, so disk accounting
+        # does not depend on the answer.
+        limit = self._and_disk_limit
         disk_lookups = 0
         truncated = False
-        full_sets: list[dict[int, Posting]] = []
+        on_disk: list[Sequence[Posting]] = []
         for lookup in lookups:
-            by_id = {p.blog_id: p for p in lookup.candidates}
             if self._disk.elides(lookup.key):
-                full_sets.append(by_id)
+                on_disk.append(())
                 continue
-            disk_postings = self._disk.lookup(lookup.key, limit=self._and_disk_limit)
-            if (
-                self._and_disk_limit is not None
-                and len(disk_postings) >= self._and_disk_limit
-            ):
-                truncated = True
-            for posting in disk_postings:
-                by_id.setdefault(posting.blog_id, posting)
+            postings = self._disk.lookup(lookup.key, limit=limit)
             disk_lookups += 1
-            full_sets.append(by_id)
-        common_ids = set.intersection(*(set(s) for s in full_sets))
-        answer = sorted(
-            (full_sets[0][blog_id] for blog_id in common_ids),
-            key=lambda p: p.sort_key,
-            reverse=True,
-        )[: query.k]
+            if limit is not None and len(postings) >= limit:
+                truncated = True
+            on_disk.append(postings)
         exact = not truncated and depth is None
-        return QueryResult(query, tuple(answer), False, exact, disk_lookups, now)
+        common = id_sets[0].union(map(_blog_id, on_disk[0]))
+        for ids, postings in zip(id_sets[1:], on_disk[1:]):
+            if not common:
+                break
+            common = (common & ids).union(common.intersection(map(_blog_id, postings)))
+        if not common:
+            return (), False, exact, disk_lookups
+        # Resolve the surviving ids from the first key, memory first.
+        answer = [p for p in lookups[0].candidates if p.blog_id in common]
+        on_disk_only = common - id_sets[0]
+        if on_disk_only:
+            answer += [p for p in on_disk[0] if p.blog_id in on_disk_only]
+        answer.sort(reverse=True)
+        return tuple(answer[:k]), False, exact, disk_lookups

@@ -13,9 +13,9 @@ Semantics:
   blog id wins (relevant when the same record appears in a memory group
   and a disk group — both carry identical sort keys, so this only
   matters for object identity);
-* the merged list is sorted best rank first by
-  :attr:`~repro.storage.posting_list.Posting.sort_key`; Python's sort is
-  stable, so equal keys keep group order;
+* the merged list is sorted best rank first by the postings' natural
+  tuple order, which *is* their ``sort_key``; after dedup no two
+  postings share a blog id, so no two compare equal;
 * ``k=None`` disables truncation (the segmented index's unbounded
   gather).
 """
@@ -47,7 +47,7 @@ def merge_topk(
             if posting.blog_id not in seen:
                 seen.add(posting.blog_id)
                 merged.append(posting)
-    merged.sort(key=lambda p: p.sort_key, reverse=True)
+    merged.sort(reverse=True)
     if k is not None:
         del merged[k:]
     return merged

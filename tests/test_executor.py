@@ -189,23 +189,44 @@ class TestAndQueries:
 
 
 class TestDepthCaps:
-    def test_and_disk_limit_flags_inexact(self):
+    @staticmethod
+    def and_miss(and_disk_limit):
+        """An AND miss whose answer lies below ``a``'s newer disk postings.
+
+        Ten ``a b`` records are followed by ten newer ``a``-only ones; the
+        flush leaves each key's top 3 in memory, so the memory
+        intersection is empty and ``a``'s 17 disk postings start with
+        seven ``a``-only records.
+        """
         model = MemoryModel()
         disk = DiskArchive(model)
         eng = KFlushingEngine(
             mk=False, **engine_kwargs(model, disk, k=3, capacity=10**6)
         )
-        capped = QueryExecutor(eng, disk, and_scan_depth=5, and_disk_limit=5)
-        for blog in make_blogs(10, keywords=("a", "b")):
+        ex = QueryExecutor(eng, disk, and_disk_limit=and_disk_limit)
+        both = make_blogs(10, keywords=("a", "b"))
+        for blog in both:
             eng.insert(blog)
         for blog in make_blogs(10, keywords=("a",)):
             eng.insert(blog)
         eng.run_flush(now=1e6)
-        result = capped.execute(AndQuery(["a", "b"], k=3), now=1e6)
-        # Whatever the outcome, a capped evaluation never claims proof
-        # unless it found k postings above all floors within the cap.
-        if result.memory_hit:
-            assert result.postings
+        assert len(disk.lookup("a")) == 17
+        result = ex.execute(AndQuery(["a", "b"], k=3), now=1e6)
+        assert not result.memory_hit
+        assert result.disk_lookups == 2
+        return result, both
+
+    def test_and_disk_limit_flags_inexact(self):
+        # The capped read of "a" stops at 5 a-only postings, so the answer
+        # misses every "a b" record and must not claim to be exact.
+        result, _ = self.and_miss(and_disk_limit=5)
+        assert result.provably_exact is False
+        assert result.postings == ()
+
+    def test_uncapped_and_miss_is_exact(self):
+        result, both = self.and_miss(and_disk_limit=None)
+        assert result.provably_exact is True
+        assert list(result.blog_ids) == [b.blog_id for b in both][::-1][:3]
 
 
 class TestMaterialize:
