@@ -28,11 +28,6 @@ GATED_METRICS = (
     "disk_commit_postings_per_s",
     "disk_commit_speedup",
     "disk_lookup_unbounded_speedup",
-    # Columnar memory-tier gates (PR 7): absolute digestion rate under
-    # the columnar layout, and its advantage over the legacy
-    # tuple-per-posting layout on the identical workload.
-    "columnar_digestion_rate",
-    "columnar_speedup",
     # Adaptive-controller gates (PR 9): the hit-ratio advantage over
     # static kFlushing on the skewed/shifting matrix cells must hold,
     # and the controller's digestion-rate cost must stay near 1.0x.

@@ -20,8 +20,8 @@ Subcommands
 ``bench [--preset tiny] [--seed 42] [--jobs 2] [--out BENCH_PR9.json] [--profile]``
     Run the performance benchmark suites (k-filled sampling, digestion
     rate, flush cost, sweep wall-clock, shard scaling, disk tier,
-    pipelined ingest stalls, columnar digestion, adaptive-vs-static
-    matrix) and write the perf-trajectory JSON (see
+    pipelined ingest stalls, adaptive-vs-static matrix, observability
+    overhead) and write the perf-trajectory JSON (see
     docs/PERFORMANCE.md); ``--profile`` also writes a cProfile
     top-cumulative table beside the JSON.
 ``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty] [--pipelined]``
@@ -110,7 +110,6 @@ def _figure_kwargs(
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
     pipelined: bool = False,
-    columnar: bool = False,
     adaptive: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
@@ -135,8 +134,6 @@ def _figure_kwargs(
         kwargs["disk_elide_empty"] = disk_elide_empty
     if pipelined and "pipelined" in params:
         kwargs["pipelined"] = pipelined
-    if columnar and "columnar" in params:
-        kwargs["columnar"] = columnar
     if adaptive and "adaptive" in params:
         kwargs["adaptive"] = adaptive
     if slo_spec and "slo_spec" in params:
@@ -222,7 +219,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 disk_cache_bytes=args.disk_cache_bytes,
                 disk_elide_empty=args.disk_elide_empty,
                 pipelined=args.pipelined,
-                columnar=args.columnar,
                 adaptive=args.adaptive,
                 slo_spec=args.slo,
                 flight_recorder_events=args.flight_recorder,
@@ -504,8 +500,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         disk_elide_empty=args.disk_elide_empty,
         pipelined_ingest=args.pipelined,
         flush_workers=args.flush_workers,
-        columnar=args.columnar,
-        columnar_cost=args.columnar_cost,
         adaptive=args.adaptive,
     )
     system = build_system(config, obs=obs)
@@ -658,15 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
             "pipelined ingest: rotate over-budget memtables to background "
             "flush workers instead of flushing inline (answers unchanged; "
             "removes the per-flush ingest stall)"
-        ),
-    )
-    run.add_argument(
-        "--columnar",
-        action="store_true",
-        help=(
-            "run the memory tier on the array-backed columnar layout "
-            "with interned key ids (answers identical to the legacy "
-            "object layout; digestion is faster)"
         ),
     )
     run.add_argument(
@@ -839,29 +824,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     stats.add_argument(
-        "--columnar",
-        action="store_true",
-        help=(
-            "columnar memory tier: array-backed posting columns and "
-            "interned key ids (adds memory.columnar.* gauges)"
-        ),
-    )
-    stats.add_argument(
         "--adaptive",
         action="store_true",
         help=(
             "adaptive kFlushing controller: per-key retention depth, "
             "shard budget slices and escalation slack retuned at flush "
             "boundaries (adds adaptive.* series and hot_keys tables)"
-        ),
-    )
-    stats.add_argument(
-        "--columnar-cost",
-        action="store_true",
-        help=(
-            "budget memory under the columnar byte layout (24-byte "
-            "postings) instead of the legacy object layout; requires "
-            "--columnar"
         ),
     )
     stats.set_defaults(fn=_cmd_stats)

@@ -30,9 +30,6 @@ machine-dependent — compare trajectories on one machine only):
   record is digested) under synchronous inline flushing vs pipelined
   memtable rotation with a background flush worker, plus the headline
   p99 reduction ratio;
-* ``columnar`` — the same warmed digestion workload under the legacy
-  tuple-per-posting memory tier vs the array-backed columnar layout with
-  interned key ids, plus the headline digestion speedup ratio;
 * ``adaptive`` — the adaptive-vs-static kFlushing matrix: each scenario
   in {uniform, zipf-hot, flash-crowd, multi-key} × {tight, normal}
   memory budgets replays the identical stream and query sequence twice,
@@ -71,7 +68,6 @@ from repro.experiments.scale import PRESETS, ScalePreset
 from repro.obs import Instrumentation
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.storage.disk import DiskArchive
-from repro.storage.interner import reset_global_interner
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 
@@ -83,7 +79,6 @@ __all__ = [
     "bench_shard_scaling",
     "bench_disk_tier",
     "bench_pipelined_stalls",
-    "bench_columnar_digestion",
     "bench_obs_overhead",
     "bench_adaptive_matrix",
     "run_bench",
@@ -479,111 +474,27 @@ def bench_pipelined_stalls(preset: ScalePreset, seed: int) -> list[BenchRecord]:
     return records
 
 
-#: Tag-count distribution of the columnar digestion workload: 7–8 keys
-#: per record.  The layouts differ only in per-(record, key) posting
-#: work, so the bench amortizes the shared per-record costs (raw-store
-#: accounting, budget check, stream driving) over a posting-dense
-#: stream — the regime the tentpole optimizes.
-_COLUMNAR_BENCH_TAG_PROBS = (0.0,) * 6 + (0.3, 0.7)
-#: Timed repetitions per layout; the reported rate is the *fastest* rep
-#: (timeit-style min: robust against CPU-steal noise on shared runners).
-_COLUMNAR_BENCH_REPS = 3
+#: Tag-count distribution of the posting-dense digestion workload: 7–8
+#: keys per record, so per-(record, key) posting work dominates the
+#: shared per-record costs (raw-store accounting, budget check, stream
+#: driving).
+_DENSE_BENCH_TAG_PROBS = (0.0,) * 6 + (0.3, 0.7)
 
 
-def _columnar_bench_spec(preset: ScalePreset, seed: int, columnar: bool) -> TrialSpec:
-    """The fixed kFlushing digestion workload both layouts replay.
+def _dense_digestion_spec(preset: ScalePreset, seed: int) -> TrialSpec:
+    """A fixed, posting-dense kFlushing digestion workload.
 
     Small k plus a skewed, posting-dense stream keeps every flush inside
-    Phase 1 (top-k trims), where eviction is pure posting movement —
-    per-tuple staging under the legacy layout, column-slice cuts under
-    the columnar one."""
+    Phase 1 (top-k trims), where eviction is pure posting movement."""
     return TrialSpec(
         policy="kflushing",
         scale=preset,
         seed=seed,
-        columnar=columnar,
         k=5,
         flush_budget=0.1,
         keyword_zipf=1.2,
         memory_gb=30,
     )
-
-
-def bench_columnar_digestion(preset: ScalePreset, seed: int) -> list[BenchRecord]:
-    """Digestion rate under the legacy vs the columnar memory tier.
-
-    Both layouts replay the identical warmed kFlushing workload; the
-    only difference is the hot-tier layout.  The legacy run allocates
-    one ``Posting`` NamedTuple per (record, key) and evicts
-    posting-by-posting; the columnar run appends primitive scalars to
-    ``array``-backed columns keyed by interned ids and evicts whole
-    column slices.  The timed region is the engine-level digestion loop
-    (insert + budget check + inline flushes), repeated
-    :data:`_COLUMNAR_BENCH_REPS` times per layout with the fastest rep
-    reported.  Both layouts were proven answer-identical by the
-    differential tests, so this measures the same work done cheaper.
-    """
-    import dataclasses
-    import gc
-
-    from repro.workload.stream import MicroblogStream
-
-    def one_rep(columnar: bool) -> float:
-        reset_global_interner()
-        spec = _columnar_bench_spec(preset, seed, columnar)
-        system = spec.build_system()
-        base_cfg = spec.build_stream().config
-        stream = MicroblogStream(
-            dataclasses.replace(
-                base_cfg, tags_per_record_probs=_COLUMNAR_BENCH_TAG_PROBS
-            )
-        )
-        warmed = 0
-        while (
-            len(system.flush_reports()) < spec.scale.warm_flushes
-            and warmed < spec.scale.max_warm_records
-        ):
-            system.ingest_many(stream.take(_WARM_CHUNK))
-            warmed += _WARM_CHUNK
-        batch = stream.take(spec.scale.eval_records * 6)
-        engine = system.engine
-        insert, needs, flush = engine.insert, engine.needs_flush, engine.run_flush
-        gc.collect()
-        start = time.perf_counter()
-        for record in batch:
-            insert(record)
-            if needs():
-                flush(record.timestamp)
-        elapsed = time.perf_counter() - start
-        rate = len(batch) / elapsed if elapsed > 0 else 0.0
-        system.close()
-        return rate
-
-    records: list[BenchRecord] = []
-    rates: dict[str, float] = {}
-    # Interleave the layouts so slow phases of a noisy shared host hit
-    # both sides instead of biasing whichever ran second.
-    reps: dict[str, list[float]] = {"legacy": [], "columnar": []}
-    for _ in range(_COLUMNAR_BENCH_REPS):
-        reps["legacy"].append(one_rep(False))
-        reps["columnar"].append(one_rep(True))
-    for mode in ("legacy", "columnar"):
-        rates[mode] = max(reps[mode])
-        records.append(
-            BenchRecord(
-                f"{mode}_digestion_rate", "kflushing", rates[mode], "records/s", seed
-            )
-        )
-    records.append(
-        BenchRecord(
-            "columnar_speedup",
-            "columnar-vs-legacy",
-            rates["columnar"] / rates["legacy"] if rates["legacy"] > 0 else float("inf"),
-            "x",
-            seed,
-        )
-    )
-    return records
 
 
 #: The adaptive-vs-static matrix (scenario × budget).  Scenarios cover
@@ -774,16 +685,17 @@ _OBS_OVERHEAD_SPEC = json.dumps(
         ]
     }
 )
-#: Timed repetitions per side; fastest rep reported (see columnar bench).
+#: Timed repetitions per side; the reported rate is the *fastest* rep
+#: (timeit-style min: robust against CPU-steal noise on shared runners).
 _OBS_BENCH_REPS = 3
 
 
 def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
     """Digestion rate with the SLO tracker + flight recorder on vs off.
 
-    Both sides replay the identical warmed kFlushing digestion workload
-    from the columnar bench (legacy layout); the ``slo`` side adds a
-    two-objective always-compliant SLO spec ticked at every flush
+    Both sides replay the identical warmed posting-dense kFlushing
+    digestion workload (:func:`_dense_digestion_spec`); the ``slo`` side
+    adds a two-objective always-compliant SLO spec ticked at every flush
     boundary plus a 256-event flight-recorder ring.  The acceptance bar
     is that the enabled side digests within 2 % of the disabled side —
     the observability tax rides on flush boundaries, never on the
@@ -795,8 +707,7 @@ def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
     from repro.workload.stream import MicroblogStream
 
     def one_rep(with_obs: bool) -> float:
-        reset_global_interner()
-        spec = _columnar_bench_spec(preset, seed, columnar=False)
+        spec = _dense_digestion_spec(preset, seed)
         if with_obs:
             spec = dataclasses.replace(
                 spec, slo_spec=_OBS_OVERHEAD_SPEC, flight_recorder_events=256
@@ -805,7 +716,7 @@ def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
         base_cfg = spec.build_stream().config
         stream = MicroblogStream(
             dataclasses.replace(
-                base_cfg, tags_per_record_probs=_COLUMNAR_BENCH_TAG_PROBS
+                base_cfg, tags_per_record_probs=_DENSE_BENCH_TAG_PROBS
             )
         )
         warmed = 0
@@ -817,9 +728,9 @@ def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
             warmed += _WARM_CHUNK
         batch = stream.take(spec.scale.eval_records * 6)
         # Timed region is the facade-level digestion loop (ingest +
-        # inline flush): unlike the columnar bench this must go through
-        # the system so SLO ticks and watermark sampling are in the
-        # timed path — they hook the facade's flush boundary.
+        # inline flush): it goes through the system so SLO ticks and
+        # watermark sampling are in the timed path — they hook the
+        # facade's flush boundary.
         ingest = system.ingest
         gc.collect()
         start = time.perf_counter()
@@ -861,7 +772,6 @@ ALL_SUITES: dict[str, Callable[..., list[BenchRecord]]] = {
     "shards": lambda preset, seed, jobs: bench_shard_scaling(preset, seed),
     "disk": lambda preset, seed, jobs: bench_disk_tier(preset, seed),
     "pipeline": lambda preset, seed, jobs: bench_pipelined_stalls(preset, seed),
-    "columnar": lambda preset, seed, jobs: bench_columnar_digestion(preset, seed),
     "adaptive": lambda preset, seed, jobs: bench_adaptive_matrix(preset, seed),
     "obs_overhead": lambda preset, seed, jobs: bench_obs_overhead(preset, seed),
 }

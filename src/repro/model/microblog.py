@@ -82,6 +82,11 @@ class Microblog:
             # Accept any iterable at construction for caller convenience but
             # store a tuple so the record stays hashable and immutable.
             object.__setattr__(self, "keywords", tuple(self.keywords))
+        keywords = self.keywords
+        if len(keywords) > 1 and len(set(keywords)) != len(keywords):
+            # A repeated keyword would post the record twice under one
+            # key; keep the first occurrence of each, in order.
+            object.__setattr__(self, "keywords", tuple(dict.fromkeys(keywords)))
         for kw in self.keywords:
             if not kw:
                 raise ValueError("keywords must be non-empty strings")

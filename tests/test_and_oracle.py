@@ -42,7 +42,6 @@ config_strategy = st.fixed_dictionaries(
         "and_scan_depth": st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
         "and_disk_limit": st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
         "disk_elide_empty": st.booleans(),
-        "columnar": st.booleans(),
         "shards": st.sampled_from([1, 4]),
     }
 )

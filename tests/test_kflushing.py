@@ -6,6 +6,7 @@ from repro.core.kflushing import KFlushingEngine
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import MIN_SORT_KEY
+from repro.workload.stream import MicroblogStream, StreamConfig
 from tests.conftest import engine_kwargs, make_blog, make_blogs
 
 
@@ -351,3 +352,23 @@ class TestBookkeeping:
         eng.insert(make_blog(keywords=("a", "b")))
         eng.insert(make_blog(keywords=("a",)))
         assert eng.frequency_snapshot() == {"a": 2, "b": 1}
+
+
+def test_needs_flush_fast_path_agrees_with_property(model, disk):
+    """``needs_flush`` reads the byte counters directly; it must agree
+    with the ``memory_bytes``/``capacity_bytes`` properties on every
+    insert, on both sides of the budget and across flushes."""
+    eng = engine(model, disk, k=5, capacity=60_000)
+    stream = MicroblogStream(
+        StreamConfig(seed=9, vocabulary_size=500, with_locations=False)
+    )
+    outcomes = set()
+    for record in stream.take(1_500):
+        eng.insert(record)
+        full = eng.needs_flush()
+        assert full == (eng.memory_bytes >= eng.capacity_bytes)
+        outcomes.add(full)
+        if full:
+            eng.run_flush(record.timestamp)
+    assert outcomes == {False, True}
+    assert eng.flush_reports

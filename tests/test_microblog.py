@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.config import SystemConfig
+from repro.engine.queries import KeywordQuery
+from repro.engine.sharded import build_system
 from repro.model.microblog import GeoPoint, Microblog
 
 
@@ -72,6 +75,19 @@ class TestMicroblog:
         assert blog.keywords == ("a", "b")
         assert isinstance(blog.keywords, tuple)
 
+    def test_repeated_keywords_deduplicated_in_first_seen_order(self):
+        blog = Microblog(
+            blog_id=1, timestamp=0.0, user_id=0, keywords=("b", "a", "b", "a")
+        )
+        assert blog.keywords == ("b", "a")
+        assert blog.keyword_count == 2
+        assert blog.with_keywords(["x", "x"]).keywords == ("x",)
+
+    def test_distinct_keywords_tuple_kept_as_is(self):
+        keywords = ("a", "b", "c")
+        blog = Microblog(blog_id=1, timestamp=0.0, user_id=0, keywords=keywords)
+        assert blog.keywords is keywords
+
     def test_has_location(self):
         blog = Microblog(
             blog_id=1, timestamp=0.0, user_id=0, location=GeoPoint(1.0, 2.0)
@@ -105,3 +121,14 @@ class TestMicroblog:
     def test_hashable(self):
         blog = Microblog(blog_id=1, timestamp=0.0, user_id=0, keywords=("a",))
         assert blog in {blog}
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("policy", ["kflushing", "kflushing-mk", "fifo", "lru"])
+def test_repeated_keyword_posts_record_once(policy, shards):
+    system = build_system(SystemConfig(policy=policy, k=3, shards=shards))
+    system.ingest(Microblog(blog_id=1, timestamp=1.0, user_id=0, keywords=("a", "a")))
+    system.ingest(Microblog(blog_id=2, timestamp=2.0, user_id=0, keywords=("a",)))
+    system.check_integrity()
+    assert system.search(KeywordQuery("a", k=3)).blog_ids == (2, 1)
+    system.close()

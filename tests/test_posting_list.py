@@ -1,6 +1,8 @@
 """Unit tests for posting lists, trims, and completeness floors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.posting_list import MIN_SORT_KEY, Posting, PostingList
 
@@ -220,3 +222,122 @@ class TestProvableTop:
 
     def test_min_sort_key_is_minimal(self):
         assert posting(0, score=-1e300).sort_key > MIN_SORT_KEY
+
+
+def test_best_first_view_slice_returns_tuple_without_full_copy():
+    entry = PostingList("k", created_at=0.0)
+    for i in range(10):
+        entry.insert(posting(i))
+    view = entry.best_first()
+    assert view[:3] == (posting(9), posting(8), posting(7))
+    assert view[8:20] == (posting(1), posting(0))
+    assert view[3:3] == ()
+    assert view[1:6:2] == (posting(8), posting(6), posting(4))
+    assert view[-1] == posting(0)
+    with pytest.raises(IndexError):
+        view[10]
+
+
+# ----------------------------------------------------------------------
+# PostingList against a brute-force model under random interleavings
+# ----------------------------------------------------------------------
+
+
+class ModelEntry:
+    """The plainest restatement of a posting list: a sorted list of
+    postings plus the floor rule (the floor rises to the best posting
+    ever removed, and never falls)."""
+
+    def __init__(self) -> None:
+        self.postings: list[Posting] = []
+        self.floor = MIN_SORT_KEY
+        self.last_arrival = 0.0
+
+    def _remove(self, removed: list[Posting]) -> list[Posting]:
+        removed = sorted(removed)
+        self.postings = [p for p in self.postings if p not in removed]
+        if removed:
+            self.floor = max(self.floor, max(p.sort_key for p in removed))
+        return removed
+
+    def insert(self, p: Posting) -> None:
+        self.postings = sorted(self.postings + [p])
+        self.last_arrival = max(self.last_arrival, p.timestamp)
+
+    def trim_beyond(self, k: int) -> list[Posting]:
+        return self._remove(self.postings[: max(0, len(self.postings) - k)])
+
+    def trim_if(self, k: int, keep) -> list[Posting]:
+        beyond = self.postings[: max(0, len(self.postings) - k)]
+        return self._remove([p for p in beyond if not keep(p)])
+
+    def drain(self) -> list[Posting]:
+        return self._remove(list(self.postings))
+
+    def drain_if(self, keep) -> list[Posting]:
+        return self._remove([p for p in self.postings if not keep(p)])
+
+    def remove_id(self, blog_id: int):
+        hit = [p for p in self.postings if p.blog_id == blog_id]
+        self._remove(hit)
+        return hit[0] if hit else None
+
+    def provable_top(self, k: int):
+        best = sorted(self.postings, reverse=True)[:k]
+        if len(best) < k or any(p.sort_key <= self.floor for p in best):
+            return None
+        return best
+
+
+# One random operation: (op-name, argument).
+ops_strategy = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.tuples(
+                st.floats(min_value=-100, max_value=100, allow_nan=False),
+                st.floats(min_value=0, max_value=100, allow_nan=False),
+            ),
+        ),
+        st.tuples(st.just("trim"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("trim_if"), st.integers(min_value=0, max_value=12)),
+        st.tuples(st.just("drain"), st.none()),
+        st.tuples(st.just("drain_if"), st.none()),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=60)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops_strategy, st.integers(min_value=1, max_value=8))
+def test_posting_list_matches_model_under_random_interleavings(ops, k):
+    entry = PostingList("k", created_at=0.0)
+    model = ModelEntry()
+    next_id = 0
+    for op, arg in ops:
+        if op == "insert":
+            p = Posting(arg[0], arg[1], next_id)
+            next_id += 1
+            entry.insert(p)
+            model.insert(p)
+        elif op == "trim":
+            assert entry.trim_beyond(arg) == model.trim_beyond(arg)
+        elif op == "trim_if":
+            # Spare even ids: the MK Phase 1 rule's shape.
+            keep = lambda p: p.blog_id % 2 == 0  # noqa: E731
+            assert entry.trim_if(arg, keep) == model.trim_if(arg, keep)
+        elif op == "drain":
+            assert entry.drain() == model.drain()
+        elif op == "drain_if":
+            keep = lambda p: p.blog_id % 3 == 0  # noqa: E731
+            assert entry.drain_if(keep) == model.drain_if(keep)
+        else:
+            assert entry.remove_id(arg) == model.remove_id(arg)
+        assert list(entry) == model.postings
+        assert entry.floor == model.floor
+        assert entry.last_arrival == model.last_arrival
+        assert entry.provable_top(k) == model.provable_top(k)
+        assert entry.is_k_filled(k) == (model.provable_top(k) is not None)
+        assert list(entry.best_first()) == model.postings[::-1]

@@ -108,3 +108,19 @@ class TestIntegrity:
         model = MemoryModel()
         expected = sum(model.record_bytes(b) for b in blogs[5:])
         assert store.bytes_used == expected
+
+
+def test_raw_store_releases_memoized_cost_not_recomputed(store, monkeypatch):
+    record = make_blog(keywords=("a", "b"), text="memoized cost")
+    charged = store.add(record, pcount=2)
+    assert charged == MemoryModel().record_bytes(record)
+    assert store.bytes_used == charged
+    # A mid-run change in model pricing must not skew release accounting:
+    # the store frees exactly what it charged at insert time.
+    original = MemoryModel.record_bytes
+    monkeypatch.setattr(
+        MemoryModel, "record_bytes", lambda self, r: original(self, r) + 1_000
+    )
+    assert store.decref(record.blog_id) is None
+    assert store.decref(record.blog_id) is record
+    assert store.bytes_used == 0
