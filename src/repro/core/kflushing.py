@@ -59,8 +59,8 @@ class KFlushingEngine(MemoryEngine):
         #: Best sort key ever evicted by whole-entry removal; seeds the
         #: completeness floor of entries (re-)created afterwards.
         self.global_floor: SortKey = MIN_SORT_KEY
-        #: Per-flush memo of top-k id sets, entry id membership, and the
-        #: Phase 3 victim snapshot (see :mod:`repro.core.flush_cache`).
+        #: Per-flush memo of top-k id sets and entry id membership (see
+        #: :mod:`repro.core.flush_cache`).
         #: Non-None only while a flush is running.
         self.flush_cache: Optional[FlushCycleCache] = None
 
@@ -142,7 +142,7 @@ class KFlushingEngine(MemoryEngine):
             now=now, target_bytes=self.flush_target_bytes(), buffer=self.buffer
         )
         self.flush_cache = (
-            FlushCycleCache(self.index, self.k) if self.use_flush_cache else None
+            FlushCycleCache(self.k) if self.use_flush_cache else None
         )
         # Escalation threshold: with slack 0 this is exactly ``not
         # ctx.met`` (freed < target); a positive slack accepts a

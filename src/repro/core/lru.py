@@ -132,8 +132,8 @@ class LRUEngine(MemoryEngine):
 
     def _evict_record(self, blog_id: int, report: FlushReport, now: float) -> int:
         """Remove one record from the raw store and all of its entries."""
-        record = self.raw.remove(blog_id)
-        freed = self.model.record_bytes(record)
+        record, record_cost = self.raw.remove(blog_id)
+        freed = record_cost
         for key in self.attribute.keys(record):
             entry = self.index.get(key)
             if entry is None:
@@ -154,7 +154,7 @@ class LRUEngine(MemoryEngine):
             else:
                 # The entry survives with a hole punched in it.
                 self.note_eviction(key, CAUSE_TRIMMED_TOPK, now, 1)
-        self.buffer.add_record(record)
+        self.buffer.add_record(record, record_cost)
         report.records_flushed += 1
         return freed
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable
 
 from repro.core.victim_selection import select_victims_heap
@@ -41,6 +42,9 @@ __all__ = [
 PHASE_REGULAR = "phase1-regular"
 PHASE_AGGRESSIVE = "phase2-aggressive"
 PHASE_FORCED = "phase3-forced"
+
+#: ``Posting.blog_id`` as a C-level getter, for mapping over whole batches.
+_blog_id = itemgetter(2)
 
 
 @dataclass
@@ -73,23 +77,23 @@ class FlushContext:
             self.max_wholesale_key = sort_key
 
 
-def _evict_posting(
+def _evict_postings(
     engine: "KFlushingEngine",
     ctx: FlushContext,
     key: Hashable,
-    posting: Posting,
+    removed: list[Posting],
 ) -> int:
-    """Move one trimmed posting (and its record, if now unreferenced) to
-    the flush buffer; returns bytes freed from memory."""
-    ctx.buffer.add_posting(key, posting)
-    ctx.postings_flushed += 1
-    freed = engine.model.posting_bytes
-    record = engine.raw.decref(posting.blog_id)
-    if record is not None:
-        ctx.buffer.add_record(record)
-        ctx.records_flushed += 1
-        freed += engine.model.record_bytes(record)
-    return freed
+    """Move one entry's removed postings, and the records they leave
+    unreferenced, to the flush buffer in one batch; returns bytes freed
+    from memory.
+
+    Each record is priced once, at insert: the raw store refunds the
+    memoized cost and the buffer hands it on to the disk.
+    """
+    records, costs = engine.raw.release(map(_blog_id, removed))
+    ctx.postings_flushed += len(removed)
+    ctx.records_flushed += len(records)
+    return ctx.buffer.stage(key, removed, records, costs)
 
 
 def _note_phase(
@@ -113,7 +117,9 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     k = engine.k
     allocator = engine.allocator
     with engine.obs.span(f"flush.{PHASE_REGULAR}"):
-        for key in list(engine.index.overflow_keys):
+        # ``overflow_keys`` is already a snapshot, safe to iterate while
+        # the loop clears keys from L.
+        for key in engine.index.overflow_keys:
             entry = engine.index.get(key)
             if entry is None:
                 engine.index.clear_overflow(key)
@@ -133,8 +139,7 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
                 if engine.flush_cache is not None:
                     engine.flush_cache.invalidate(key)
                 engine.note_eviction(key, PHASE_REGULAR, ctx.now, len(removed))
-                for posting in removed:
-                    freed += _evict_posting(engine, ctx, key, posting)
+                freed += _evict_postings(engine, ctx, key, removed)
             if len(entry) <= depth:
                 engine.index.clear_overflow(key)
         # The paper wipes L after Phase 1 completes.  Under MK, entries whose
@@ -170,21 +175,19 @@ def _flush_entry(
     else:
         removed = entry.drain()
     engine.index.charge_removed_postings(len(removed), key, entry=entry)
-    cache = engine.flush_cache
-    if removed:
-        if cache is not None:
-            cache.invalidate(key)
-        engine.note_eviction(key, cause, ctx.now, len(removed))
     freed = 0
-    for posting in removed:
-        freed += _evict_posting(engine, ctx, key, posting)
-        ctx.note_wholesale(posting.sort_key)
+    if removed:
+        if engine.flush_cache is not None:
+            engine.flush_cache.invalidate(key)
+        engine.note_eviction(key, cause, ctx.now, len(removed))
+        freed = _evict_postings(engine, ctx, key, removed)
+        # A removed list is a subsequence of an ascending entry: its last
+        # posting is its best.
+        ctx.note_wholesale(removed[-1].sort_key)
     if len(entry) == 0:
         engine.index.remove_entry(key)
         freed += engine.model.entry_overhead
         ctx.entries_flushed += 1
-        if cache is not None:
-            cache.on_entry_removed(key)
     return freed
 
 
@@ -256,28 +259,21 @@ def run_phase3(engine: "KFlushingEngine", ctx: FlushContext) -> None:
     entries of any size behind.
     """
     freed = 0
-    cache = engine.flush_cache
     with engine.obs.span(f"flush.{PHASE_FORCED}"):
         while ctx.freed_bytes + freed < ctx.target_bytes and len(engine.index) > 0:
             share = _mean_record_share(engine)
             overhead = engine.model.entry_overhead
             per_posting = engine.model.posting_bytes + share
-            # Escalation rounds iterate the flush cache's victim snapshot
-            # instead of rescanning the full index; surviving keys come
-            # back in identical order (see FlushCycleCache), with costs
-            # recomputed from live entry sizes and the current share.
-            if cache is not None:
-                candidate_keys = cache.surviving_keys()
-            else:
-                candidate_keys = list(engine.index.keys())
+            # Every round scans the live index in its own order: nothing
+            # inserts mid-flush and dict order survives deletions, so the
+            # surviving keys keep their relative order round to round.
             candidates = [
                 (
                     entry.last_query,
                     overhead + math.ceil(len(entry) * per_posting),
                     key,
                 )
-                for key in candidate_keys
-                if (entry := engine.index.get(key)) is not None
+                for key, entry in engine.index.items()
             ]
             victims = select_victims_heap(
                 candidates, ctx.target_bytes - ctx.freed_bytes - freed

@@ -275,23 +275,32 @@ class DiskArchive:
         self,
         records: Iterable[Microblog],
         postings_by_key: dict[Hashable, list[Posting]],
+        record_costs: Optional[Sequence[int]] = None,
     ) -> int:
         """Persist one flush batch; returns modelled bytes written.
+
+        ``record_costs``, when given, holds each record's modelled size in
+        ``records`` order (the raw store's memoized charge), so records are
+        not priced again here; None prices them under the current model.
 
         Idempotent per ``(key, blog_id)``: a posting trimmed in one flush
         and re-flushed later (e.g. alongside its record body) is written
         once — re-commits neither inflate ``posting_count`` nor widen the
         merge inputs of later lookups.
         """
+        if record_costs is None:
+            records = list(records)
+            record_costs = map(self._model.record_bytes, records)
+        stored = self._records
         nbytes = 0
         nrecords = 0
-        for record in records:
+        for record, cost in zip(records, record_costs, strict=True):
             # Re-flushing the same record id is idempotent (can happen when
             # a record's postings were flushed from several keys and the
             # record itself follows later).
-            if record.blog_id not in self._records:
-                self._records[record.blog_id] = record
-                nbytes += self._model.record_bytes(record)
+            if record.blog_id not in stored:
+                stored[record.blog_id] = record
+                nbytes += cost
                 nrecords += 1
         npostings = 0
         for key, postings in postings_by_key.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import statistics
 from collections import deque
-from typing import Hashable
+from typing import Hashable, Optional
 
 from repro.model.microblog import Microblog
 from repro.storage.disk import DiskArchive
@@ -30,6 +30,10 @@ class FlushBuffer:
         self._model = model
         self._disk = disk
         self._records: list[Microblog] = []
+        #: Modelled cost of each staged record, parallel to ``_records``:
+        #: the raw store's memoized charge, handed on to the disk so a
+        #: record is priced once over its lifetime.
+        self._record_costs: list[int] = []
         self._postings: dict[Hashable, list[Posting]] = {}
         self._bytes = 0
         #: Largest modelled size the buffer ever reached.
@@ -48,10 +52,17 @@ class FlushBuffer:
     def is_empty(self) -> bool:
         return not self._records and not self._postings
 
-    def add_record(self, record: Microblog) -> None:
-        """Stage a record whose reference count reached zero."""
+    def add_record(self, record: Microblog, cost: Optional[int] = None) -> None:
+        """Stage a record whose reference count reached zero.
+
+        ``cost`` is the record's modelled size as the raw store charged
+        it; None prices the record under the current model.
+        """
+        if cost is None:
+            cost = self._model.record_bytes(record)
         self._records.append(record)
-        self._bytes += self._model.record_bytes(record)
+        self._record_costs.append(cost)
+        self._bytes += cost
         self.peak_bytes = max(self.peak_bytes, self._bytes)
 
     def add_posting(self, key: Hashable, posting: Posting) -> None:
@@ -67,6 +78,35 @@ class FlushBuffer:
         self._postings.setdefault(key, []).extend(postings)
         self._bytes += self._model.postings_bytes(len(postings))
         self.peak_bytes = max(self.peak_bytes, self._bytes)
+
+    def stage(
+        self,
+        key: Hashable,
+        postings: list[Posting],
+        records: list[Microblog],
+        costs: list[int],
+    ) -> int:
+        """Stage one entry's evicted postings and the records they freed.
+
+        ``costs`` are the records' memoized costs (see
+        :meth:`~repro.storage.raw_store.RawDataStore.release`).
+        Equivalent to an ``add_posting`` per posting and an
+        ``add_record`` per record: the buffer only grows between commits,
+        so one peak update at the end sees the same maximum.  Returns the
+        bytes staged, which are the bytes the eviction freed from memory.
+        """
+        if not postings:
+            return 0
+        self._postings.setdefault(key, []).extend(postings)
+        staged = self._model.postings_bytes(len(postings))
+        if records:
+            self._records.extend(records)
+            self._record_costs.extend(costs)
+            staged += sum(costs)
+        self._bytes += staged
+        if self._bytes > self.peak_bytes:
+            self.peak_bytes = self._bytes
+        return staged
 
     @property
     def steady_peak_bytes(self) -> int:
@@ -93,11 +133,13 @@ class FlushBuffer:
             return 0
         adopted = other._bytes
         self._records.extend(other._records)
+        self._record_costs.extend(other._record_costs)
         for key, postings in other._postings.items():
             self._postings.setdefault(key, []).extend(postings)
         self._bytes += adopted
         self.peak_bytes = max(self.peak_bytes, self._bytes)
         other._records = []
+        other._record_costs = []
         other._postings = {}
         other._bytes = 0
         return adopted
@@ -108,8 +150,11 @@ class FlushBuffer:
         if self.is_empty:
             return 0
         self._recent_commit_bytes.append(self._bytes)
-        written = self._disk.commit_flush(self._records, self._postings)
+        written = self._disk.commit_flush(
+            self._records, self._postings, self._record_costs
+        )
         self._records = []
+        self._record_costs = []
         self._postings = {}
         self._bytes = 0
         return written

@@ -300,10 +300,6 @@ class HashInvertedIndex:
             # Overflow may be stale-high after set_k shrinks k mid-cycle,
             # but must never contain entries at or below k postings when k
             # is unchanged; Phase 1 tolerates no-op trims either way.
-        for entry in self._entries.values():
-            check_columns = getattr(entry, "check_columns", None)
-            if check_columns is not None:
-                check_columns()
         if self._k_filled_dirty:
             self._rebuild_k_filled()
         expected_k_filled = {

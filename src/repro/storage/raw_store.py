@@ -9,7 +9,7 @@ its ``pcount`` falls to zero.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import DuplicateRecordError, UnknownRecordError
 from repro.model.microblog import Microblog
@@ -97,34 +97,57 @@ class RawDataStore:
         paper: "whenever M.pcount reaches zero ... flushed to disk right
         away").  Otherwise returns None and the record stays resident.
         """
-        try:
-            count = self._pcounts[blog_id]
-        except KeyError:
-            raise UnknownRecordError(blog_id) from None
-        if count <= 0:
-            raise ValueError(f"pcount underflow for blog_id={blog_id}")
-        count -= 1
-        if count > 0:
-            self._pcounts[blog_id] = count
-            return None
-        record = self._records.pop(blog_id)
-        del self._pcounts[blog_id]
-        self._bytes -= self._costs.pop(blog_id)
-        return record
+        freed, _costs = self.release((blog_id,))
+        return freed[0] if freed else None
 
-    def remove(self, blog_id: int) -> Microblog:
+    def release(self, blog_ids: Iterable[int]) -> tuple[list[Microblog], list[int]]:
+        """Drop one index reference from each id, in order.
+
+        kFlushing releases an evicted entry's postings together.  Returns
+        the records whose count reached zero, in release order, with the
+        cost memoized for each at insert.  An id that is not resident
+        (never added, or already freed earlier in the batch) raises
+        :class:`UnknownRecordError`; the ids before it stay released and
+        their bytes refunded.
+        """
+        pcounts = self._pcounts
+        records = self._records
+        costs = self._costs
+        freed: list[Microblog] = []
+        freed_costs: list[int] = []
+        try:
+            for blog_id in blog_ids:
+                try:
+                    count = pcounts[blog_id]
+                except KeyError:
+                    raise UnknownRecordError(blog_id) from None
+                if count > 1:
+                    pcounts[blog_id] = count - 1
+                    continue
+                if count <= 0:
+                    raise ValueError(f"pcount underflow for blog_id={blog_id}")
+                del pcounts[blog_id]
+                freed.append(records.pop(blog_id))
+                freed_costs.append(costs.pop(blog_id))
+        finally:
+            self._bytes -= sum(freed_costs)
+        return freed, freed_costs
+
+    def remove(self, blog_id: int) -> tuple[Microblog, int]:
         """Forcibly remove a record regardless of its reference count.
 
         Used by per-item policies (LRU) that evict a record from all of its
-        entries at once.  Returns the removed record.
+        entries at once.  Returns the removed record and the bytes
+        refunded, which are the cost memoized at insert.
         """
         try:
             record = self._records.pop(blog_id)
         except KeyError:
             raise UnknownRecordError(blog_id) from None
         del self._pcounts[blog_id]
-        self._bytes -= self._costs.pop(blog_id)
-        return record
+        cost = self._costs.pop(blog_id)
+        self._bytes -= cost
+        return record, cost
 
     def check_integrity(self) -> None:
         """Assert internal invariants (used by tests and debug builds).

@@ -47,6 +47,32 @@ class TestCommitFlush:
         result = disk.lookup("a")
         assert [p.blog_id for p in result] == [5, 3, 1]
 
+    def test_passed_costs_match_recomputed(self, model):
+        blogs = [make_blog(keywords=("a",), text="w" * i) for i in range(1, 5)]
+        batch = {"a": [posting(b.blog_id) for b in blogs]}
+        priced, given = DiskArchive(model), DiskArchive(model)
+        costs = [model.record_bytes(b) for b in blogs]
+        assert priced.commit_flush(blogs, batch) == given.commit_flush(
+            blogs, batch, costs
+        )
+        assert priced.stats == given.stats
+        # Re-committing with costs stays idempotent: nothing new is charged.
+        assert given.commit_flush(blogs, batch, costs) == 0
+        assert priced.commit_flush(blogs, batch) == 0
+        # Only the new record and the new posting are charged.
+        extra = make_blog(keywords=("a",))
+        mixed = blogs[:2] + [extra]
+        written = given.commit_flush(
+            mixed,
+            {"a": [posting(b.blog_id) for b in mixed]},
+            [model.record_bytes(b) for b in mixed],
+        )
+        assert written == model.record_bytes(extra) + model.postings_bytes(1)
+
+    def test_costs_must_align_with_records(self, disk):
+        with pytest.raises(ValueError):
+            disk.commit_flush([make_blog()], {}, [])
+
     def test_stats_counters(self, disk):
         blog = make_blog(keywords=("a",))
         disk.commit_flush([blog], {"a": [posting(blog.blog_id)]})

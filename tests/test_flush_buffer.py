@@ -91,3 +91,61 @@ class TestCommit:
         buffer.commit()
         model = MemoryModel()
         assert buffer.peak_bytes == 10 * model.posting_bytes
+
+
+class TestStage:
+    """Per-entry staging must match the per-item add_posting/add_record calls."""
+
+    def _batches(self):
+        blogs = [make_blog(keywords=("a", "b"), text="t" * i) for i in range(1, 7)]
+        return [
+            ("a", [posting(b.blog_id) for b in blogs[:3]], blogs[:2]),
+            ("b", [posting(b.blog_id) for b in blogs[2:5]], []),
+            ("a", [posting(b.blog_id) for b in blogs[5:]], blogs[2:]),
+        ]
+
+    def test_same_bytes_peak_and_order_as_per_item_calls(self):
+        model = MemoryModel()
+        staged = FlushBuffer(model, DiskArchive(model))
+        per_item = FlushBuffer(model, DiskArchive(model))
+        for round_ in range(2):
+            for key, postings, records in self._batches():
+                costs = [model.record_bytes(r) for r in records]
+                freed = staged.stage(key, postings, records, costs)
+                assert freed == model.postings_bytes(len(postings)) + sum(costs)
+                for p in postings:
+                    per_item.add_posting(key, p)
+                for r in records:
+                    per_item.add_record(r)
+            assert staged.bytes_buffered == per_item.bytes_buffered
+            assert staged.peak_bytes == per_item.peak_bytes
+            assert staged._postings == per_item._postings
+            assert staged._records == per_item._records
+            assert staged._record_costs == per_item._record_costs
+            assert staged.commit() == per_item.commit()
+        assert staged.peak_bytes == per_item.peak_bytes
+
+    def test_empty_stage_is_noop(self, setup):
+        _, _, buffer = setup
+        assert buffer.stage("a", [], [], []) == 0
+        assert buffer.is_empty
+        assert "a" not in buffer._postings
+
+    def test_staged_costs_reach_the_disk(self, setup):
+        model, disk, buffer = setup
+        blog = make_blog(keywords=("a",))
+        # A cost the current model would not produce proves the memoized
+        # charge, not a re-pricing, is what the disk records.
+        cost = model.record_bytes(blog) + 7
+        buffer.stage("a", [posting(blog.blog_id)], [blog], [cost])
+        assert buffer.commit() == cost + model.posting_bytes
+        assert disk.stats.bytes_written == cost + model.posting_bytes
+
+    def test_absorb_carries_costs(self, setup):
+        model, disk, buffer = setup
+        other = FlushBuffer(model, disk)
+        blog = make_blog(keywords=("a",))
+        other.stage("a", [posting(blog.blog_id)], [blog], [123])
+        assert buffer.absorb(other) == 123 + model.posting_bytes
+        assert other.is_empty
+        assert buffer.commit() == 123 + model.posting_bytes
