@@ -83,6 +83,8 @@ def test_run_bench_writes_schema(tmp_path):
     import json
 
     payload = json.loads(out.read_text(encoding="utf-8"))
-    assert len(payload) == len(records) == 3
+    # Three kfilled records plus the trailing host_cpus record.
+    assert len(payload) == len(records) == 4
+    assert payload[-1]["metric"] == "host_cpus"
     for row in payload:
         assert set(row) == {"metric", "policy", "value", "unit", "seed"}

@@ -11,24 +11,22 @@ Subcommands
     each trial's system over N shards; ``--disk-cache-bytes`` /
     ``--disk-elide-empty`` enable the modelled disk read cache and
     negative-lookup elision (both off by default — answers never change,
-    only disk-lookup counts and simulated latency); ``--pipelined``
-    rotates over-budget memtables to background flush workers instead of
-    flushing inline; ``--metrics-out`` streams every instrumentation
-    event of the run (flush spans, query events, final snapshot) to a
-    JSONL file — parallel workers write per-trial metric shards that are
-    merged into the same file after the pool drains.
+    only disk-lookup counts and simulated latency); ``--metrics-out``
+    streams every instrumentation event of the run (flush spans, query
+    events, final snapshot) to a JSONL file — parallel workers write
+    per-trial metric shards that are merged into the same file after the
+    pool drains.
 ``bench [--preset tiny] [--seed 42] [--jobs 2] [--out BENCH_PR9.json] [--profile]``
     Run the performance benchmark suites (k-filled sampling, digestion
     rate, flush cost, sweep wall-clock, shard scaling, disk tier,
-    pipelined ingest stalls, adaptive-vs-static matrix, observability
-    overhead) and write the perf-trajectory JSON (see
-    docs/PERFORMANCE.md); ``--profile`` also writes a cProfile
-    top-cumulative table beside the JSON.
-``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty] [--pipelined]``
+    adaptive-vs-static matrix, observability overhead) and write the
+    perf-trajectory JSON (see docs/PERFORMANCE.md); ``--profile`` also
+    writes a cProfile top-cumulative table beside the JSON.
+``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty]``
     Run a tiny synthetic workload and dump the instrumentation registry
-    (flush phase spans, per-mode query counters, disk I/O, per-shard
-    gauges when sharded, ingest-stall histogram and pipeline counters
-    when pipelined) as JSON or Prometheus-style text; the system's
+    (flush phase spans, per-mode query counters, disk I/O, the
+    ingest-stall histogram with one sample per flush, per-shard gauges
+    when sharded) as JSON or Prometheus-style text; the system's
     invariants are checked before the dump.
 ``trace metrics.jsonl [--top 5] [--require-miss-causes] [--strict]``
     Offline analysis of an events JSONL (``--metrics-out`` /
@@ -109,7 +107,6 @@ def _figure_kwargs(
     shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
-    pipelined: bool = False,
     adaptive: bool = False,
     slo_spec: Optional[str] = None,
     flight_recorder_events: int = 0,
@@ -117,8 +114,7 @@ def _figure_kwargs(
 ) -> dict:
     """Keyword arguments for one figure function.
 
-    ``jobs``, ``shards``, the disk-tier gates, and ``pipelined`` are
-    forwarded only to figures whose signatures support them (the
+    ``jobs``, ``shards``, and the disk-tier gates are forwarded only to figures whose signatures support them (the
     extension experiments, for instance, run serially; fig5 is an
     engine-level experiment with no sharded variant).
     """
@@ -132,8 +128,6 @@ def _figure_kwargs(
         kwargs["disk_cache_bytes"] = disk_cache_bytes
     if disk_elide_empty and "disk_elide_empty" in params:
         kwargs["disk_elide_empty"] = disk_elide_empty
-    if pipelined and "pipelined" in params:
-        kwargs["pipelined"] = pipelined
     if adaptive and "adaptive" in params:
         kwargs["adaptive"] = adaptive
     if slo_spec and "slo_spec" in params:
@@ -218,7 +212,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 args.shards,
                 disk_cache_bytes=args.disk_cache_bytes,
                 disk_elide_empty=args.disk_elide_empty,
-                pipelined=args.pipelined,
                 adaptive=args.adaptive,
                 slo_spec=args.slo,
                 flight_recorder_events=args.flight_recorder,
@@ -498,8 +491,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         shards=args.shards,
         disk_cache_bytes=args.disk_cache_bytes,
         disk_elide_empty=args.disk_elide_empty,
-        pipelined_ingest=args.pipelined,
-        flush_workers=args.flush_workers,
         adaptive=args.adaptive,
     )
     system = build_system(config, obs=obs)
@@ -514,8 +505,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ingested += 1
         if ingested % per_query == 0:
             system.search(queries.next_query())
-    # Fold any in-flight pipelined flush back in before checking.
-    system.quiesce()
     # Invariant check through the facade: per-engine structure plus, when
     # sharded, the router's key-ownership invariant on every shard.
     system.check_integrity()
@@ -523,7 +512,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     # rendered dump includes shard.<i>.* series for a sharded run; it also
     # carries the per-key hotness tables when query-heat tracking is on.
     snap = system.snapshot()
-    system.close()
     obs.close()
     if args.format == "prom":
         rendered = to_prometheus_text(obs.registry)
@@ -643,15 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "skip disk lookups for keys the archive provably holds no "
             "postings for (never changes answers)"
-        ),
-    )
-    run.add_argument(
-        "--pipelined",
-        action="store_true",
-        help=(
-            "pipelined ingest: rotate over-budget memtables to background "
-            "flush workers instead of flushing inline (answers unchanged; "
-            "removes the per-flush ingest stall)"
         ),
     )
     run.add_argument(
@@ -803,24 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "skip disk lookups for keys the archive provably holds no "
             "postings for (never changes answers)"
-        ),
-    )
-    stats.add_argument(
-        "--pipelined",
-        action="store_true",
-        help=(
-            "pipelined ingest: background flush workers + memtable "
-            "rotation (adds ingest.stall_seconds / pipeline.* series)"
-        ),
-    )
-    stats.add_argument(
-        "--flush-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "flush worker threads under --pipelined (default: one per "
-            "shard; 0 = deterministic inline drain)"
         ),
     )
     stats.add_argument(

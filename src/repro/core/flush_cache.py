@@ -10,11 +10,12 @@ cached at all — inside the phase loops:
   *beyond*-top-k postings, so the top-k of every entry is invariant while
   the memo is live;
 * **per-entry id membership** (MK Phase 2, ``exists_in_k_filled``): the
-  full blog-id set of an entry, replacing an uncached O(entry) linear
-  ``contains_id`` scan per spared-posting check.  Unlike the top-k memo
-  this one *is* invalidated when an entry mutates (Phase 2 drains shrink
-  entries mid-phase), so cached answers are always what the linear scan
-  would have returned.
+  full blog-id set of an entry, so a spared-posting check costs one set
+  probe instead of an O(entry) scan.  Unlike the top-k memo this one
+  *is* invalidated when an entry mutates (Phase 2 drains shrink entries
+  mid-phase), so cached answers always match the entry's current
+  contents.  ``tests/test_kflushing_mk.py`` checks both memos against a
+  brute-force scan.
 
 Every phase that mutates an entry must call :meth:`invalidate` with the
 key.  An entry removed outright needs nothing more: both predicates look
@@ -58,7 +59,7 @@ class FlushCycleCache:
     # ------------------------------------------------------------------
 
     def contains_id(self, key: Hashable, entry: "PostingList", blog_id: int) -> bool:
-        """Set-based replacement for ``entry.contains_id(blog_id)``."""
+        """Whether ``blog_id`` is in the entry, by a memoized id set."""
         ids = self._member_ids.get(key)
         if ids is None:
             ids = entry.id_set()

@@ -27,11 +27,6 @@ __all__ = ["KFlushingEngine"]
 class KFlushingEngine(MemoryEngine):
     """kFlushing (and kFlushing-MK when ``mk=True``)."""
 
-    #: Class-level switch for the per-flush :class:`FlushCycleCache`.
-    #: Always on in production; the differential tests flip it off to run
-    #: the brute-force reference path and assert bit-identical results.
-    use_flush_cache: bool = True
-
     def __init__(self, *, mk: bool = False, max_phase: int = 3, **kwargs) -> None:
         super().__init__(**kwargs)
         self.mk = mk
@@ -116,24 +111,6 @@ class KFlushingEngine(MemoryEngine):
         return None
 
     # ------------------------------------------------------------------
-    # Memtable rotation (pipelined ingest)
-    # ------------------------------------------------------------------
-
-    def drain_records(self) -> Iterable[Microblog]:
-        # The raw store iterates in arrival order, so a sibling engine
-        # re-digests in the original stream order and rebuilds identical
-        # posting-list state.
-        return list(self.raw)
-
-    def absorb(self, other: MemoryEngine) -> int:
-        count = super().absorb(other)
-        if isinstance(other, KFlushingEngine):
-            # Lossless flush-buffer handoff: anything the sibling staged
-            # but never committed keeps riding toward disk.
-            self.buffer.absorb(other.buffer)
-        return count
-
-    # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
 
@@ -141,9 +118,7 @@ class KFlushingEngine(MemoryEngine):
         ctx = FlushContext(
             now=now, target_bytes=self.flush_target_bytes(), buffer=self.buffer
         )
-        self.flush_cache = (
-            FlushCycleCache(self.k) if self.use_flush_cache else None
-        )
+        self.flush_cache = FlushCycleCache(self.k)
         # Escalation threshold: with slack 0 this is exactly ``not
         # ctx.met`` (freed < target); a positive slack accepts a
         # near-target Phase 1 instead of escalating to wholesale
@@ -186,7 +161,8 @@ class KFlushingEngine(MemoryEngine):
 
         MK Phase 1 keeps a beyond-top-k posting alive while this holds, so
         AND-queries intersecting this key with the other one still find
-        the record in memory.
+        the record in memory.  Runs only inside a flush, against the
+        flush-cycle cache.
         """
         record = self.raw.get(blog_id)
         cache = self.flush_cache
@@ -196,10 +172,7 @@ class KFlushingEngine(MemoryEngine):
             entry = self.index.get(key)
             if entry is None:
                 continue
-            if cache is not None:
-                if blog_id in cache.topk_ids(key, entry):
-                    return True
-            elif entry.contains_in_top(blog_id, self.k):
+            if blog_id in cache.topk_ids(key, entry):
                 return True
         return False
 
@@ -208,7 +181,8 @@ class KFlushingEngine(MemoryEngine):
 
         MK Phase 2 spares such postings: flushing them could turn a
         would-be memory hit on the frequent keyword's AND-queries into a
-        disk access (Section IV-D, condition 3).
+        disk access (Section IV-D, condition 3).  Runs only inside a
+        flush, against the flush-cycle cache.
         """
         record = self.raw.get(blog_id)
         cache = self.flush_cache
@@ -218,10 +192,7 @@ class KFlushingEngine(MemoryEngine):
             entry = self.index.get(key)
             if entry is None or len(entry) < self.k:
                 continue
-            if cache is not None:
-                if cache.contains_id(key, entry, blog_id):
-                    return True
-            elif entry.contains_id(blog_id):
+            if cache.contains_id(key, entry, blog_id):
                 return True
         return False
 

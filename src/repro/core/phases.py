@@ -136,8 +136,7 @@ def run_phase1(engine: "KFlushingEngine", ctx: FlushContext) -> None:
                 removed = entry.trim_beyond(depth)
             engine.index.charge_removed_postings(len(removed), key, entry=entry)
             if removed:
-                if engine.flush_cache is not None:
-                    engine.flush_cache.invalidate(key)
+                engine.flush_cache.invalidate(key)
                 engine.note_eviction(key, PHASE_REGULAR, ctx.now, len(removed))
                 freed += _evict_postings(engine, ctx, key, removed)
             if len(entry) <= depth:
@@ -177,8 +176,7 @@ def _flush_entry(
     engine.index.charge_removed_postings(len(removed), key, entry=entry)
     freed = 0
     if removed:
-        if engine.flush_cache is not None:
-            engine.flush_cache.invalidate(key)
+        engine.flush_cache.invalidate(key)
         engine.note_eviction(key, cause, ctx.now, len(removed))
         freed = _evict_postings(engine, ctx, key, removed)
         # A removed list is a subsequence of an ascending entry: its last

@@ -42,14 +42,12 @@ from repro.core.adaptive import ShardBudgetBalancer
 from repro.core.policy import FlushReport, LookupResult, MemoryEngine
 from repro.engine.clock import LogicalClock
 from repro.engine.executor import QueryExecutor
-from repro.engine.pipeline import FlushWorkerPool, LockedDiskView, PipelinedEngine
 from repro.engine.stats import SystemStats
 from repro.engine.system import MicroblogSystem, MicroblogSystemBase
 from repro.errors import CapacityError, ConfigurationError
 from repro.model.attributes import AttributeExtractor
 from repro.model.microblog import Microblog
 from repro.obs import Instrumentation
-from repro.obs.runtime import get_active
 from repro.storage.disk import DiskArchive
 
 __all__ = [
@@ -193,17 +191,6 @@ class Shard:
             # facade adds the cross-shard budget balancer on top.
             adaptive=config.adaptive_settings(),
         )
-        #: Set by the facade when pipelined ingest is on: the rotation
-        #: coordinator and the lock-taking disk adapter for this shard.
-        self.pipeline: Optional[PipelinedEngine] = None
-        self.disk_view = self.disk
-
-    @property
-    def store(self):
-        """Executor/metrics-facing store: the pipeline (active +
-        immutable memtables) when pipelined ingest is on, else the bare
-        engine."""
-        return self.pipeline if self.pipeline is not None else self.engine
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -248,20 +235,20 @@ class _RoutedDisk:
         shard_id = self._router.shard_of(key)
         obs = self._obs
         if obs.current_trace is None:
-            return self._shards[shard_id].disk_view.lookup(key, limit=limit)
+            return self._shards[shard_id].disk.lookup(key, limit=limit)
         with obs.trace_span("shard.disk.lookup", shard=shard_id, key=str(key)) as extra:
-            result = self._shards[shard_id].disk_view.lookup(key, limit=limit)
+            result = self._shards[shard_id].disk.lookup(key, limit=limit)
             extra["postings"] = len(result)
             return result
 
     def elides(self, key: Hashable) -> bool:
         """Route the negative-lookup check to the shard owning ``key``."""
-        return self._shards[self._router.shard_of(key)].disk_view.elides(key)
+        return self._shards[self._router.shard_of(key)].disk.elides(key)
 
     def fetch_record(self, blog_id: int) -> Optional[Microblog]:
         for shard in self._shards:
-            if shard.disk_view.contains_record(blog_id):
-                return shard.disk_view.fetch_record(blog_id)
+            if shard.disk.contains_record(blog_id):
+                return shard.disk.fetch_record(blog_id)
         return None
 
 
@@ -290,18 +277,18 @@ class _RoutedEngine:
         shard_id = self._router.shard_of(key)
         obs = self._obs
         if obs.current_trace is None:
-            return self._shards[shard_id].store.lookup(key, depth=depth)
+            return self._shards[shard_id].engine.lookup(key, depth=depth)
         with obs.trace_span(
             "shard.memory.lookup", shard=shard_id, key=str(key)
         ) as extra:
-            result = self._shards[shard_id].store.lookup(key, depth=depth)
+            result = self._shards[shard_id].engine.lookup(key, depth=depth)
             extra["candidates"] = len(result.candidates)
             return result
 
     def eviction_cause(self, key: Hashable):
         """Route the miss-attribution probe to the shard owning ``key``
         (each shard's engine keeps its own eviction ledger)."""
-        return self._shards[self._router.shard_of(key)].store.eviction_cause(key)
+        return self._shards[self._router.shard_of(key)].engine.eviction_cause(key)
 
     def note_query(
         self,
@@ -315,29 +302,26 @@ class _RoutedEngine:
         # — each should observe the access).
         accessed = tuple(accessed_ids)
         for shard_id, shard_keys in self._router.group_by_shard(keys).items():
-            self._shards[shard_id].store.note_query(shard_keys, accessed, now)
+            self._shards[shard_id].engine.note_query(shard_keys, accessed, now)
 
     def get_record(self, blog_id: int) -> Optional[Microblog]:
         for shard in self._shards:
-            record = shard.store.get_record(blog_id)
+            record = shard.engine.get_record(blog_id)
             if record is not None:
                 return record
         return None
 
     @property
     def wants_query_feedback(self) -> bool:
-        return any(
-            getattr(shard.store, "wants_query_feedback", False)
-            for shard in self._shards
-        )
+        return any(shard.engine.wants_query_feedback for shard in self._shards)
 
     def observe_query_feedback(self, keys, hit, cause) -> None:
         # Scatter like note_query: each shard's heat/controller sees the
         # keys it owns, with the query-level hit flag and miss cause.
         for shard_id, shard_keys in self._router.group_by_shard(keys).items():
-            store = self._shards[shard_id].store
-            if getattr(store, "wants_query_feedback", False):
-                store.observe_query_feedback(shard_keys, hit, cause)
+            engine = self._shards[shard_id].engine
+            if engine.wants_query_feedback:
+                engine.observe_query_feedback(shard_keys, hit, cause)
 
 
 class ShardedMicroblogSystem(MicroblogSystemBase):
@@ -366,18 +350,6 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
             Shard(i, config, self.router, self.attribute, self.ranking, self.obs)
             for i in range(config.shards)
         ]
-        #: One worker pool shared by all shards' drain tasks when
-        #: pipelined ingest is on (the queue bound is global, so total
-        #: in-flight flush work is capped system-wide).
-        self._pool: Optional[FlushWorkerPool] = None
-        if config.pipelined_ingest:
-            self._pool = FlushWorkerPool(
-                config.resolved_flush_workers(),
-                config.resolved_flush_queue_limit(),
-                obs=self.obs,
-            )
-            for shard in self.shards:
-                self._attach_pipeline(shard)
         self.executor = QueryExecutor(
             _RoutedEngine(self.shards, self.router, self.obs),
             _RoutedDisk(self.shards, self.router, self.obs),
@@ -418,7 +390,7 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
             # only (the shard's attribute view filters); the record body
             # is replicated to every owning shard — the documented cost
             # of multi-key fan-out.
-            if self.shards[shard_id].store.insert(record):
+            if self.shards[shard_id].engine.insert(record):
                 indexed = True
         self.stats.ingest.insert_seconds += time.perf_counter() - start
         if not indexed:
@@ -427,57 +399,12 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
         self.stats.ingest.indexed += 1
         for shard_id in owners:
             shard = self.shards[shard_id]
-            if shard.pipeline is not None:
-                shard.pipeline.maybe_rotate(self.now)
-            elif shard.engine.needs_flush():
+            if shard.engine.needs_flush():
                 self._flush_shard(shard)
         return True
 
-    def _attach_pipeline(self, shard: Shard) -> None:
-        """Wire one shard's rotation coordinator onto the shared pool."""
-        config = self.config
-
-        def build_overlay() -> MemoryEngine:
-            # Overlays stay non-adaptive (see the unsharded facade).
-            return create_engine(
-                config.policy,
-                model=config.memory_model,
-                ranking=self.ranking,
-                attribute=shard.attribute,
-                k=shard.engine.k,
-                capacity_bytes=config.overlay_capacity(shard.shard_id),
-                flush_fraction=config.flush_fraction,
-                disk=shard.disk,
-                obs=self.obs,
-                ledger_capacity=config.eviction_ledger_capacity,
-            )
-
-        shard.pipeline = PipelinedEngine(
-            engine=shard.engine,
-            overlay_factory=build_overlay,
-            overlay_capacity_bytes=config.overlay_capacity(shard.shard_id),
-            pool=self._pool,
-            obs=self.obs,
-            record_stall=self._record_stall,
-            on_before_flush=lambda now, shard=shard: self._sample_shard_before(
-                shard, now
-            ),
-            on_after_flush=lambda report, now, shard=shard: self._note_shard_flush(
-                shard, report, now
-            ),
-            label=f"shard.{shard.shard_id}.",
-        )
-        shard.disk_view = LockedDiskView(shard.disk, shard.pipeline.lock)
-
     def _flush_shard(self, shard: Shard) -> FlushReport:
-        self._sample_shard_before(shard, self.now)
-        report = shard.engine.run_flush(self.now)
-        # The inline shard flush stalls ingest for its whole wall time.
-        self._record_stall(report.wall_seconds)
-        self._note_shard_flush(shard, report, self.now)
-        return report
-
-    def _sample_shard_before(self, shard: Shard, now: float) -> None:
+        now = self.now
         self.stats.sample_memory(
             now,
             shard.engine.memory_bytes,
@@ -495,10 +422,10 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
             self.config.total_capacity_bytes,
             kind="before",
         )
-
-    def _note_shard_flush(self, shard: Shard, report: FlushReport, now: float) -> None:
-        """Post-flush accounting; runs on the worker thread when a drain
-        completes in the background, inline otherwise."""
+        report = shard.engine.run_flush(now)
+        # The shard flush runs on the ingest path and stalls it for its
+        # whole wall time.
+        self._record_stall(report.wall_seconds)
         self.stats.ingest.flush_seconds += report.wall_seconds
         self._flush_reports.append(report)
         after = shard.engine.memory_bytes
@@ -527,30 +454,21 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
         if self._balancer is not None:
             self._balancer.on_shard_flush(self)
         self._service_level_tick()
+        return report
 
     def _sample_watermarks(self) -> None:
-        # Lock-free reads only (see the unsharded twin) — safe from the
-        # flush-worker threads.
         watermarks = self.watermarks
-        total = cache_bytes = 0
-        overlay = ledger_entries = 0
+        total = cache_bytes = ledger_entries = 0
         for shard in self.shards:
-            used = shard.store.memory_bytes
+            used = shard.engine.memory_bytes
             total += used
             watermarks.observe(f"shard.{shard.shard_id}.memory.bytes_used", used)
-            if shard.pipeline is not None:
-                overlay += max(0, used - shard.engine.memory_bytes)
             if shard.disk.cache is not None:
                 cache_bytes += shard.disk.cache.bytes_used
             ledger = shard.engine.eviction_ledger
             if ledger is not None:
                 ledger_entries += len(ledger)
         watermarks.observe("memory.bytes_used", total)
-        if self._pool is not None:
-            watermarks.observe("memory.overlay_bytes", overlay)
-            depth = self.obs.registry.get_gauge("pipeline.queue_depth")
-            if depth is not None:
-                watermarks.observe("pipeline.queue_depth", depth.value)
         if self.config.disk_cache_bytes > 0:
             watermarks.observe("disk.cache_bytes", cache_bytes)
         if ledger_entries:
@@ -562,15 +480,15 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
 
     def set_k(self, k: int) -> None:
         for shard in self.shards:
-            shard.store.set_k(k)
+            shard.engine.set_k(k)
 
     def total_memory_bytes(self) -> int:
-        return sum(shard.store.memory_bytes for shard in self.shards)
+        return sum(shard.engine.memory_bytes for shard in self.shards)
 
     def k_filled_count(self) -> int:
         # Keys are partitioned (each owned by exactly one shard), so the
         # per-shard counts sum without overlap.
-        return sum(shard.store.k_filled_count() for shard in self.shards)
+        return sum(shard.engine.k_filled_count() for shard in self.shards)
 
     def memory_utilization(self) -> float:
         return self.total_memory_bytes() / self.config.total_capacity_bytes
@@ -578,33 +496,19 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
     def frequency_snapshot(self) -> dict[Hashable, int]:
         merged: dict[Hashable, int] = {}
         for shard in self.shards:
-            merged.update(shard.store.frequency_snapshot())
+            merged.update(shard.engine.frequency_snapshot())
         return merged
 
     def flush_reports(self) -> list[FlushReport]:
         return self._flush_reports
 
     def policy_overhead_bytes(self) -> int:
-        return sum(shard.store.policy_overhead_bytes for shard in self.shards)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def quiesce(self) -> None:
-        for shard in self.shards:
-            if shard.pipeline is not None:
-                shard.pipeline.quiesce(self.now)
-
-    def close(self) -> None:
-        self.quiesce()
-        if self._pool is not None:
-            self._pool.close()
+        return sum(shard.engine.policy_overhead_bytes for shard in self.shards)
 
     def shard_utilizations(self) -> list[float]:
         """Per-shard used fraction of the shard budget, by shard id."""
         return [
-            shard.store.memory_bytes / shard.capacity_bytes
+            shard.engine.memory_bytes / shard.capacity_bytes
             for shard in self.shards
         ]
 
@@ -615,7 +519,7 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
         balanced); ``flush_skew`` is the same ratio over per-shard flush
         counts (0.0 when no shard has flushed yet).
         """
-        records = [shard.store.record_count() for shard in self.shards]
+        records = [shard.engine.record_count() for shard in self.shards]
         flushes = [len(shard.engine.flush_reports) for shard in self.shards]
         utils = self.shard_utilizations()
         mean_records = sum(records) / len(records)
@@ -636,13 +540,13 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
         registry = self.obs.registry
         for shard in self.shards:
             prefix = f"shard.{shard.shard_id}."
-            registry.gauge(prefix + "memory.bytes_used").set(shard.store.memory_bytes)
+            registry.gauge(prefix + "memory.bytes_used").set(shard.engine.memory_bytes)
             registry.gauge(prefix + "memory.capacity_bytes").set(shard.capacity_bytes)
             registry.gauge(prefix + "memory.utilization").set(
-                shard.store.memory_bytes / shard.capacity_bytes
+                shard.engine.memory_bytes / shard.capacity_bytes
             )
-            registry.gauge(prefix + "records").set(shard.store.record_count())
-            registry.gauge(prefix + "k_filled").set(shard.store.k_filled_count())
+            registry.gauge(prefix + "records").set(shard.engine.record_count())
+            registry.gauge(prefix + "k_filled").set(shard.engine.k_filled_count())
         skew = self.shard_skew()
         registry.gauge("shards.record_skew").set(skew["record_skew"])
         registry.gauge("shards.flush_skew").set(skew["flush_skew"])
@@ -655,10 +559,10 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
         snap["shards"] = {
             str(shard.shard_id): {
                 "capacity_bytes": shard.capacity_bytes,
-                "memory_bytes": shard.store.memory_bytes,
-                "utilization": shard.store.memory_bytes / shard.capacity_bytes,
-                "records": shard.store.record_count(),
-                "k_filled": shard.store.k_filled_count(),
+                "memory_bytes": shard.engine.memory_bytes,
+                "utilization": shard.engine.memory_bytes / shard.capacity_bytes,
+                "records": shard.engine.record_count(),
+                "k_filled": shard.engine.k_filled_count(),
                 "flush_count": len(shard.engine.flush_reports),
                 "disk_records": shard.disk.record_count,
                 "disk_keys": shard.disk.key_count,
@@ -692,7 +596,7 @@ class ShardedMicroblogSystem(MicroblogSystemBase):
         every key a shard holds (in memory or on its disk namespace) is
         owned by that shard under the router."""
         for shard in self.shards:
-            shard.store.check_integrity()
+            shard.engine.check_integrity()
             for key in shard.engine.frequency_snapshot():
                 owner = self.router.shard_of(key)
                 assert owner == shard.shard_id, (

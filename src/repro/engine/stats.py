@@ -87,21 +87,17 @@ class IngestStats:
     insert_seconds: float = 0.0
     #: Wall seconds spent inside flush operations.
     flush_seconds: float = 0.0
-    #: Ingest-path pauses: one stall is any pause the write path could
-    #: not overlap with digestion — the whole flush in synchronous mode;
-    #: backpressure waits and non-empty overlay reconciles in pipelined
-    #: mode.  The per-pause distribution lives in the instrumentation
-    #: histogram ``ingest.stall_seconds``.
+    #: Ingest-path pauses: one stall per flush, which runs on the ingest
+    #: path and pauses it for its whole wall time.  The per-pause
+    #: distribution lives in the instrumentation histogram
+    #: ``ingest.stall_seconds``.
     stalls: int = 0
     stall_seconds: float = 0.0
-    max_stall_seconds: float = 0.0
 
     def record_stall(self, seconds: float) -> None:
         """Account one ingest-path pause."""
         self.stalls += 1
         self.stall_seconds += seconds
-        if seconds > self.max_stall_seconds:
-            self.max_stall_seconds = seconds
 
     @property
     def digestion_rate(self) -> float:

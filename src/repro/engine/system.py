@@ -28,7 +28,6 @@ from repro.core import create_engine
 from repro.core.policy import FlushReport, MemoryEngine
 from repro.engine.clock import LogicalClock
 from repro.engine.executor import QueryExecutor, QueryResult
-from repro.engine.pipeline import FlushWorkerPool, LockedDiskView, PipelinedEngine
 from repro.engine.queries import TopKQuery
 from repro.engine.stats import SystemStats
 from repro.errors import CapacityError
@@ -88,6 +87,14 @@ class MicroblogSystemBase(ABC):
                 indexed += 1
         return indexed
 
+    def _record_stall(self, seconds: float) -> None:
+        """Account one ingest-path pause: the wall time of a flush that
+        ran inline on the ingest path.  Feeds the ``ingest.stall_seconds``
+        histogram, one sample per flush, which SLO specs read."""
+        self.stats.ingest.record_stall(seconds)
+        self.obs.registry.counter("ingest.stalls").inc()
+        self.obs.registry.histogram("ingest.stall_seconds").record(seconds)
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -107,29 +114,6 @@ class MicroblogSystemBase(ABC):
     def fetch_records(self, result: QueryResult) -> list[Microblog]:
         """Materialize the record bodies of a query result."""
         return self.executor.materialize(result)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def quiesce(self) -> None:
-        """Wait for any in-flight background flush work and fold rotated
-        memtables back in.  No-op for synchronous builds; pipelined
-        builds override it.  Call before reading final metrics."""
-
-    def close(self) -> None:
-        """Quiesce and release background resources (worker threads).
-        Idempotent; no-op for synchronous builds."""
-        self.quiesce()
-
-    def _record_stall(self, seconds: float) -> None:
-        """Account one ingest-path pause: a synchronous/inline flush, a
-        pipelined backpressure wait, or a non-empty reconcile.  Feeds the
-        ``ingest.stall_seconds`` histogram — the p99 of these pauses is
-        the pipelined-ingest headline metric."""
-        self.stats.ingest.record_stall(seconds)
-        self.obs.registry.counter("ingest.stalls").inc()
-        self.obs.registry.histogram("ingest.stall_seconds").record(seconds)
 
     # ------------------------------------------------------------------
     # Service levels (SLO tracker, flight recorder, watermarks)
@@ -165,9 +149,7 @@ class MicroblogSystemBase(ABC):
 
     def _service_level_tick(self) -> None:
         """One flush-boundary heartbeat: sample resource watermarks,
-        then evaluate the SLO objectives.  Runs on the flush-worker
-        thread in pipelined mode — everything it touches is either
-        lock-free reads or internally locked."""
+        then evaluate the SLO objectives."""
         self._sample_watermarks()
         if self.slo_tracker is not None:
             self.slo_tracker.tick()
@@ -315,34 +297,9 @@ class MicroblogSystem(MicroblogSystemBase):
             ledger_capacity=config.eviction_ledger_capacity,
             adaptive=config.adaptive_settings(),
         )
-        #: Rotation coordinator when ``config.pipelined_ingest`` is on;
-        #: None keeps the synchronous inline-flush path byte-for-byte.
-        self._pipeline: Optional[PipelinedEngine] = None
-        self._pool: Optional[FlushWorkerPool] = None
-        if config.pipelined_ingest:
-            self._pool = FlushWorkerPool(
-                config.resolved_flush_workers(),
-                config.resolved_flush_queue_limit(),
-                obs=self.obs,
-            )
-            self._pipeline = PipelinedEngine(
-                engine=self.engine,
-                overlay_factory=self._build_overlay,
-                overlay_capacity_bytes=config.overlay_capacity(0),
-                pool=self._pool,
-                obs=self.obs,
-                record_stall=self._record_stall,
-                on_before_flush=self._sample_flush_before,
-                on_after_flush=self._note_flush_complete,
-            )
-        #: Store the executor and the metrics surface talk to: the
-        #: pipeline (active + immutable memtables) or the bare engine.
-        self._store = self._pipeline if self._pipeline is not None else self.engine
         self.executor = QueryExecutor(
-            self._store,
-            LockedDiskView(self.disk, self._pipeline.lock)
-            if self._pipeline is not None
-            else self.disk,
+            self.engine,
+            self.disk,
             strict_and=strict_and,
             and_scan_depth=config.and_scan_depth,
             and_disk_limit=config.and_disk_limit,
@@ -359,61 +316,30 @@ class MicroblogSystem(MicroblogSystemBase):
     def ingest(self, record: Microblog) -> bool:
         self.clock.advance_to(record.timestamp)
         self.stats.ingest.offered += 1
-        pipeline = self._pipeline
         start = time.perf_counter()
-        indexed = self._store.insert(record)
+        indexed = self.engine.insert(record)
         self.stats.ingest.insert_seconds += time.perf_counter() - start
         if indexed:
             self.stats.ingest.indexed += 1
         else:
             self.stats.ingest.skipped += 1
             return False
-        if pipeline is not None:
-            pipeline.maybe_rotate(self.now)
-        elif self.engine.needs_flush():
+        if self.engine.needs_flush():
             self._flush()
         return True
 
-    def _build_overlay(self) -> MemoryEngine:
-        """A fresh same-policy engine to digest into while the long-lived
-        engine is frozen for a background flush."""
-        config = self.config
-        # Overlays stay non-adaptive: they live for one rotation window
-        # and are absorbed back into the long-lived engine, which owns
-        # the heat, the allocator, and the retune schedule.
-        return create_engine(
-            config.policy,
-            model=config.memory_model,
-            ranking=self.ranking,
-            attribute=self.attribute,
-            k=self.engine.k,
-            capacity_bytes=config.overlay_capacity(0),
-            flush_fraction=config.flush_fraction,
-            disk=self.disk,
-            obs=self.obs,
-            ledger_capacity=config.eviction_ledger_capacity,
-        )
-
     def _flush(self) -> FlushReport:
-        self._sample_flush_before(self.now)
-        report = self.engine.run_flush(self.now)
-        # The synchronous flush stalls ingest for its whole wall time —
-        # the baseline pause the pipelined mode exists to remove.
-        self._record_stall(report.wall_seconds)
-        self._note_flush_complete(report, self.now)
-        return report
-
-    def _sample_flush_before(self, now: float) -> None:
+        now = self.now
         self.stats.sample_memory(
             now,
             self.engine.memory_bytes,
             self.config.memory_capacity_bytes,
             kind="before",
         )
-
-    def _note_flush_complete(self, report: FlushReport, now: float) -> None:
-        """Post-flush accounting; runs on the worker thread when a drain
-        completes in the background, inline otherwise."""
+        report = self.engine.run_flush(now)
+        # The flush runs on the ingest path and stalls it for its whole
+        # wall time.
+        self._record_stall(report.wall_seconds)
         self.stats.ingest.flush_seconds += report.wall_seconds
         after = self.engine.memory_bytes
         self.stats.sample_memory(
@@ -430,55 +356,32 @@ class MicroblogSystem(MicroblogSystemBase):
                 "exceed the memory budget"
             )
         self._service_level_tick()
+        return report
 
     def _sample_watermarks(self) -> None:
-        # All reads here are lock-free (plain attribute/dict reads under
-        # the GIL), so this is safe from the flush-worker thread.
         watermarks = self.watermarks
-        total = self._store.memory_bytes
-        watermarks.observe("memory.bytes_used", total)
-        if self._pipeline is not None:
-            watermarks.observe(
-                "memory.overlay_bytes", max(0, total - self.engine.memory_bytes)
-            )
-            depth = self.obs.registry.get_gauge("pipeline.queue_depth")
-            if depth is not None:
-                watermarks.observe("pipeline.queue_depth", depth.value)
-        cache = getattr(self.disk, "cache", None)
-        if cache is not None:
-            watermarks.observe("disk.cache_bytes", cache.bytes_used)
-        ledger = getattr(self.engine, "eviction_ledger", None)
+        watermarks.observe("memory.bytes_used", self.engine.memory_bytes)
+        if self.disk.cache is not None:
+            watermarks.observe("disk.cache_bytes", self.disk.cache.bytes_used)
+        ledger = self.engine.eviction_ledger
         if ledger is not None:
             watermarks.observe("eviction_ledger.entries", len(ledger))
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def quiesce(self) -> None:
-        if self._pipeline is not None:
-            self._pipeline.quiesce(self.now)
-
-    def close(self) -> None:
-        self.quiesce()
-        if self._pool is not None:
-            self._pool.close()
 
     # ------------------------------------------------------------------
     # Control and metrics
     # ------------------------------------------------------------------
 
     def set_k(self, k: int) -> None:
-        self._store.set_k(k)
+        self.engine.set_k(k)
 
     def k_filled_count(self) -> int:
-        return self._store.k_filled_count()
+        return self.engine.k_filled_count()
 
     def memory_utilization(self) -> float:
-        return self._store.memory_bytes / self.config.memory_capacity_bytes
+        return self.engine.memory_bytes / self.config.memory_capacity_bytes
 
     def frequency_snapshot(self) -> dict[Hashable, int]:
-        return self._store.frequency_snapshot()
+        return self.engine.frequency_snapshot()
 
     def snapshot(self) -> dict:
         """Registry snapshot extended with the per-key hotness table
@@ -494,10 +397,10 @@ class MicroblogSystem(MicroblogSystemBase):
         return self.engine.flush_reports
 
     def policy_overhead_bytes(self) -> int:
-        return self._store.policy_overhead_bytes
+        return self.engine.policy_overhead_bytes
 
     def check_integrity(self) -> None:
-        self._store.check_integrity()
+        self.engine.check_integrity()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

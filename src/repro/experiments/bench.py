@@ -8,8 +8,11 @@ record in the file is one flat measurement::
 
     {"metric": ..., "policy": ..., "value": ..., "unit": ..., "seed": ...}
 
-Four suites, all deterministic in their inputs (timings are, of course,
-machine-dependent — compare trajectories on one machine only):
+The suites below are all deterministic in their inputs (timings are, of
+course, machine-dependent — compare trajectories on one machine only).
+Every file also carries one ``host_cpus`` record, the host's CPU count,
+so parallel speed-ups such as ``sweep_parallel_speedup_j2`` read in
+context:
 
 * ``kfilled``  — sampling ``k_filled_count()``: the incremental counter
   vs the brute-force rescan it replaced, plus their speedup ratio;
@@ -26,10 +29,6 @@ machine-dependent — compare trajectories on one machine only):
   layout vs the flat per-posting ``insort`` it replaced, bounded top-k
   lookup latency under both, and the cost of an unbounded lookup (lazy
   merged view vs the old full reversed copy);
-* ``pipeline`` — ingest-stall distribution (p99/max/total pause before a
-  record is digested) under synchronous inline flushing vs pipelined
-  memtable rotation with a background flush worker, plus the headline
-  p99 reduction ratio;
 * ``adaptive`` — the adaptive-vs-static kFlushing matrix: each scenario
   in {uniform, zipf-hot, flash-crowd, multi-key} × {tight, normal}
   memory budgets replays the identical stream and query sequence twice,
@@ -48,6 +47,7 @@ from __future__ import annotations
 import cProfile
 import io
 import json
+import os
 import pstats
 import random
 import time
@@ -65,7 +65,6 @@ from repro.experiments.runner import (
     run_trial,
 )
 from repro.experiments.scale import PRESETS, ScalePreset
-from repro.obs import Instrumentation
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
@@ -78,7 +77,6 @@ __all__ = [
     "bench_sweep_wallclock",
     "bench_shard_scaling",
     "bench_disk_tier",
-    "bench_pipelined_stalls",
     "bench_obs_overhead",
     "bench_adaptive_matrix",
     "run_bench",
@@ -393,87 +391,6 @@ def bench_disk_tier(
     return records
 
 
-def bench_pipelined_stalls(preset: ScalePreset, seed: int) -> list[BenchRecord]:
-    """Ingest-stall distribution: synchronous flushing vs pipelined rotation.
-
-    Both runs ingest the identical stream (warm-up plus ``eval_records``)
-    under kFlushing; the only difference is the flushing mode.  The
-    synchronous baseline pays the full flush wall time as one ingest
-    pause per flush; the pipelined run rotates the over-budget memtable
-    to one background worker and pauses only for backpressure waits and
-    non-empty reconciles.  The ``ingest.stall_seconds`` histogram (one
-    sample per pause, lifetime of the run) provides the p99; the
-    reduction ratio is the PR's headline artifact.
-    """
-    records: list[BenchRecord] = []
-    p99: dict[str, float] = {}
-    for mode, pipelined in (("sync", False), ("pipelined", True)):
-        obs = Instrumentation()
-        spec = TrialSpec(
-            policy="kflushing",
-            scale=preset,
-            seed=seed,
-            pipelined_ingest=pipelined,
-            flush_workers=1 if pipelined else None,
-        )
-        system = spec.build_system(obs=obs)
-        stream = spec.build_stream()
-        warmed = 0
-        while (
-            len(system.flush_reports()) < spec.scale.warm_flushes
-            and warmed < spec.scale.max_warm_records
-        ):
-            system.ingest_many(stream.take(_WARM_CHUNK))
-            warmed += _WARM_CHUNK
-        system.ingest_many(stream.take(spec.scale.eval_records))
-        system.quiesce()
-        ingest = system.stats.ingest
-        p99[mode] = obs.registry.histogram("ingest.stall_seconds").percentile(99.0)
-        records.extend(
-            [
-                BenchRecord(
-                    f"ingest_stall_p99_us_{mode}",
-                    "kflushing",
-                    p99[mode] * 1e6,
-                    "us",
-                    seed,
-                ),
-                BenchRecord(
-                    f"ingest_stall_max_us_{mode}",
-                    "kflushing",
-                    ingest.max_stall_seconds * 1e6,
-                    "us",
-                    seed,
-                ),
-                BenchRecord(
-                    f"ingest_stall_total_ms_{mode}",
-                    "kflushing",
-                    ingest.stall_seconds * 1e3,
-                    "ms",
-                    seed,
-                ),
-                BenchRecord(
-                    f"ingest_stall_count_{mode}",
-                    "kflushing",
-                    float(ingest.stalls),
-                    "count",
-                    seed,
-                ),
-            ]
-        )
-        system.close()
-    records.append(
-        BenchRecord(
-            "ingest_stall_p99_reduction",
-            "sync-vs-pipelined",
-            p99["sync"] / max(p99["pipelined"], 1e-9),
-            "x",
-            seed,
-        )
-    )
-    return records
-
-
 #: Tag-count distribution of the posting-dense digestion workload: 7–8
 #: keys per record, so per-(record, key) posting work dominates the
 #: shared per-record costs (raw-store accounting, budget check, stream
@@ -567,7 +484,6 @@ def _adaptive_point(
     ):
         system.ingest_many(stream.take(_WARM_CHUNK))
         warmed += _WARM_CHUNK
-    system.quiesce()
     system.stats.queries = QueryStats()
     ingest0 = _ingest_baseline(system)
     book0 = system.executor.bookkeeping_seconds
@@ -591,10 +507,7 @@ def _adaptive_point(
             system.search(queries.next_query())
             pending -= 1.0
 
-    system.quiesce()
-    result = _collect_result(system, spec, ingest0, book0, flushes0)
-    system.close()
-    return result
+    return _collect_result(system, spec, ingest0, book0, flushes0)
 
 
 def bench_adaptive_matrix(preset: ScalePreset, seed: int) -> list[BenchRecord]:
@@ -737,9 +650,7 @@ def bench_obs_overhead(preset: ScalePreset, seed: int) -> list[BenchRecord]:
         for record in batch:
             ingest(record)
         elapsed = time.perf_counter() - start
-        rate = len(batch) / elapsed if elapsed > 0 else 0.0
-        system.close()
-        return rate
+        return len(batch) / elapsed if elapsed > 0 else 0.0
 
     records: list[BenchRecord] = []
     reps: dict[str, list[float]] = {"off": [], "slo": []}
@@ -771,7 +682,6 @@ ALL_SUITES: dict[str, Callable[..., list[BenchRecord]]] = {
     "sweep": bench_sweep_wallclock,
     "shards": lambda preset, seed, jobs: bench_shard_scaling(preset, seed),
     "disk": lambda preset, seed, jobs: bench_disk_tier(preset, seed),
-    "pipeline": lambda preset, seed, jobs: bench_pipelined_stalls(preset, seed),
     "adaptive": lambda preset, seed, jobs: bench_adaptive_matrix(preset, seed),
     "obs_overhead": lambda preset, seed, jobs: bench_obs_overhead(preset, seed),
 }
@@ -800,7 +710,8 @@ def run_bench(
 ) -> list[BenchRecord]:
     """Run the benchmark suites and (optionally) write ``out`` as JSON.
 
-    With ``profile=True`` the suites run under ``cProfile`` and the top
+    The records end with one ``host_cpus`` record (``os.cpu_count()``)
+    so the parallel-sweep numbers can be read against the host.  With ``profile=True`` the suites run under ``cProfile`` and the top
     :data:`PROFILE_TOP_N` cumulative-time functions are written to
     ``<out-stem>.profile.txt`` beside the JSON.  Profiled timings carry
     tracer overhead, so profiled runs are for finding hot spots, not for
@@ -819,6 +730,9 @@ def run_bench(
     finally:
         if profiler is not None:
             profiler.disable()
+    records.append(
+        BenchRecord("host_cpus", "host", float(os.cpu_count() or 0), "count", seed)
+    )
     if out is not None:
         path = Path(out)
         payload = [asdict(record) for record in records]

@@ -190,8 +190,7 @@ class DiskArchive:
     #: segmented-runs layout; flipping to ``False`` (or passing
     #: ``use_runs=False``) restores the flat ``insort`` layout of the
     #: pre-PR-4 archive — kept as the reference path for differential
-    #: tests and before/after benchmarks, like
-    #: ``KFlushingEngine.use_flush_cache``.
+    #: tests and before/after benchmarks.
     use_runs: bool = True
 
     def __init__(

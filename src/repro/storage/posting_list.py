@@ -192,16 +192,6 @@ class PostingList:
         """The single worst-ranked posting, or None when empty."""
         return self._postings[0] if self._postings else None
 
-    def contains_id(self, blog_id: int) -> bool:
-        """Linear membership test by microblog id."""
-        return any(p.blog_id == blog_id for p in self._postings)
-
-    def contains_in_top(self, blog_id: int, k: int) -> bool:
-        """Whether ``blog_id`` is among this entry's top-k postings."""
-        if k <= 0:
-            return False
-        return any(p.blog_id == blog_id for p in self._postings[-k:])
-
     def topk_id_set(self, k: int) -> frozenset[int]:
         """Ids of the top-k postings (flush-cycle memo building block)."""
         if k <= 0:

@@ -140,12 +140,3 @@ class TestStage:
         buffer.stage("a", [posting(blog.blog_id)], [blog], [cost])
         assert buffer.commit() == cost + model.posting_bytes
         assert disk.stats.bytes_written == cost + model.posting_bytes
-
-    def test_absorb_carries_costs(self, setup):
-        model, disk, buffer = setup
-        other = FlushBuffer(model, disk)
-        blog = make_blog(keywords=("a",))
-        other.stage("a", [posting(blog.blog_id)], [blog], [123])
-        assert buffer.absorb(other) == 123 + model.posting_bytes
-        assert other.is_empty
-        assert buffer.commit() == 123 + model.posting_bytes

@@ -42,9 +42,6 @@ def _specs() -> dict[str, dict]:
     specs["kflushing-s4-disk-cache"] = dict(
         policy="kflushing", shards=4, disk_cache_bytes=20_000
     )
-    specs["kflushing-pipelined-inline"] = dict(
-        policy="kflushing", pipelined_ingest=True, flush_workers=0
-    )
     specs["kflushing-adaptive"] = dict(policy="kflushing", adaptive=True)
     return specs
 

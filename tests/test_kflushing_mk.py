@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.core.flush_cache import FlushCycleCache
 from repro.core.kflushing import KFlushingEngine
+from repro.experiments.runner import TrialSpec, run_trial
 from repro.model.attributes import UserAttribute
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
+from repro.storage.posting_list import Posting, PostingList
 from tests.conftest import engine_kwargs, make_blog, make_blogs
+from tests.test_experiments import MICRO
 
 
 @pytest.fixture
@@ -145,3 +149,95 @@ class TestNaming:
     def test_plain_name(self, model, disk):
         eng = KFlushingEngine(mk=False, **engine_kwargs(model, disk))
         assert eng.name == "kflushing"
+
+
+# ----------------------------------------------------------------------
+# Brute-force oracle for the flush-cycle cache and the MK predicates
+# ----------------------------------------------------------------------
+
+
+def oracle_topk_ids(entry, k):
+    """Top-k ids by scanning the entry best-first."""
+    return {p.blog_id for p in entry.top(k)}
+
+
+def oracle_contains(entry, blog_id):
+    """Membership by a linear scan of the entry."""
+    return any(p.blog_id == blog_id for p in entry)
+
+
+def oracle_in_top_elsewhere(engine, blog_id, exclude_key):
+    record = engine.raw.get(blog_id)
+    for key in engine.attribute.keys(record):
+        entry = engine.index.get(key)
+        if key != exclude_key and entry is not None:
+            if blog_id in oracle_topk_ids(entry, engine.k):
+                return True
+    return False
+
+
+def oracle_exists_in_k_filled(engine, blog_id, exclude_key):
+    record = engine.raw.get(blog_id)
+    for key in engine.attribute.keys(record):
+        entry = engine.index.get(key)
+        if key != exclude_key and entry is not None and len(entry) >= engine.k:
+            if oracle_contains(entry, blog_id):
+                return True
+    return False
+
+
+class TestFlushCycleCacheOracle:
+    K = 3
+    IDS = range(0, 12)
+
+    def _assert_matches(self, cache, entry):
+        assert cache.topk_ids("kw", entry) == oracle_topk_ids(entry, self.K)
+        for blog_id in self.IDS:
+            assert cache.contains_id("kw", entry, blog_id) == oracle_contains(
+                entry, blog_id
+            ), blog_id
+
+    def test_matches_oracle_across_trim_and_drain(self):
+        entry = PostingList("kw", created_at=0.0)
+        for i in range(1, 11):
+            entry.insert(Posting(float(i), float(i), i))
+        cache = FlushCycleCache(self.K)
+        self._assert_matches(cache, entry)
+
+        assert entry.trim_beyond(5)
+        # Until invalidated, the membership memo still holds trimmed ids.
+        assert cache.contains_id("kw", entry, 1)
+        cache.invalidate("kw")
+        self._assert_matches(cache, entry)
+
+        assert entry.drain_if(keep=lambda p: p.blog_id % 2 == 0)
+        cache.invalidate("kw")
+        self._assert_matches(cache, entry)
+        assert cache.topk_ids("kw", entry) == {6, 8, 10}
+
+        entry.drain()
+        cache.invalidate("kw")
+        self._assert_matches(cache, entry)
+
+    def test_mk_flush_predicates_match_oracle(self, monkeypatch):
+        # Every MK predicate answer given during a steady-state trial's
+        # flushes equals the brute-force scan of the live index.
+        calls = {"in_top_elsewhere": 0, "exists_in_k_filled": 0}
+
+        def checked(name, oracle):
+            method = getattr(KFlushingEngine, name)
+
+            def wrapper(self, blog_id, exclude_key):
+                answer = method(self, blog_id, exclude_key)
+                assert answer == oracle(self, blog_id, exclude_key), name
+                calls[name] += 1
+                return answer
+
+            monkeypatch.setattr(KFlushingEngine, name, wrapper)
+
+        checked("in_top_elsewhere", oracle_in_top_elsewhere)
+        checked("exists_in_k_filled", oracle_exists_in_k_filled)
+        result = run_trial(TrialSpec(policy="kflushing-mk", scale=MICRO, seed=3))
+        assert result.flush_count > 0
+        assert calls["in_top_elsewhere"] > 0
+        assert calls["exists_in_k_filled"] > 0

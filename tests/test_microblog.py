@@ -131,4 +131,3 @@ def test_repeated_keyword_posts_record_once(policy, shards):
     system.ingest(Microblog(blog_id=2, timestamp=2.0, user_id=0, keywords=("a",)))
     system.check_integrity()
     assert system.search(KeywordQuery("a", k=3)).blog_ids == (2, 1)
-    system.close()

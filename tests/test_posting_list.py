@@ -71,17 +71,16 @@ class TestTopAndBest:
 
 
 class TestMembership:
-    def test_contains_id(self):
+    def test_id_set(self):
         entry = fresh(3)
-        assert entry.contains_id(2)
-        assert not entry.contains_id(99)
+        assert 2 in entry.id_set()
+        assert 99 not in entry.id_set()
 
-    def test_contains_in_top(self):
+    def test_topk_id_set(self):
         entry = fresh(5)
-        assert entry.contains_in_top(5, 2)
-        assert entry.contains_in_top(4, 2)
-        assert not entry.contains_in_top(3, 2)
-        assert not entry.contains_in_top(5, 0)
+        assert entry.topk_id_set(2) == {5, 4}
+        assert 3 not in entry.topk_id_set(2)
+        assert entry.topk_id_set(0) == frozenset()
 
 
 class TestTrimBeyond:

@@ -1,11 +1,17 @@
 """Unit tests for runtime statistics containers."""
 
-from repro.core.policy import FlushReport
-from repro.engine.clock import LogicalClock
-from repro.engine.queries import CombineMode
-from repro.engine.stats import IngestStats, QueryStats, SystemStats, TimelinePoint
+import time
 
 import pytest
+
+from repro.core.kflushing import KFlushingEngine
+from repro.core.policy import FlushReport
+from repro.engine.clock import LogicalClock
+from repro.engine.queries import CombineMode, KeywordQuery
+from repro.engine.stats import IngestStats, QueryStats, SystemStats, TimelinePoint
+from repro.experiments.runner import TrialSpec, run_trial
+from tests.conftest import make_blogs, tiny_system
+from tests.test_experiments import MICRO
 
 
 class TestQueryStats:
@@ -110,3 +116,62 @@ class TestLogicalClock:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             LogicalClock().advance_by(-1.0)
+
+
+class TestDiskReadsAccounting:
+    def test_elided_miss_counts_zero_disk_reads(self):
+        # A miss on a key that is neither in memory nor on disk: with
+        # negative-lookup elision on, the executor performs zero disk
+        # index lookups, so disk_reads must stay 0.
+        system = tiny_system(disk_elide_empty=True)
+        for blog in make_blogs(5, keywords=("hot",)):
+            system.ingest(blog)
+        result = system.search(KeywordQuery("ghost", k=3))
+        assert not result.memory_hit
+        assert result.disk_lookups == 0
+        assert system.stats.queries.queries == 1
+        assert system.stats.queries.disk_reads == 0
+
+    def test_paid_miss_still_counts(self):
+        # Force everything to disk, then query it: the miss pays a real
+        # disk lookup and must still be counted.
+        system = tiny_system(disk_elide_empty=True, memory_capacity_bytes=300)
+        for blog in make_blogs(5, keywords=("hot",), text="x" * 400):
+            system.ingest(blog)
+        result = system.search(KeywordQuery("hot", k=3))
+        assert not result.memory_hit
+        assert result.disk_lookups >= 1
+        assert system.stats.queries.disk_reads >= 1
+
+
+class TestIngestStallAccounting:
+    def test_one_stall_per_flush(self):
+        # Every flush runs on the ingest path: the measurement window
+        # records exactly one stall per flush it ran.
+        result = run_trial(TrialSpec(policy="kflushing", scale=MICRO, seed=11))
+        assert result.flush_count > 0
+        assert result.extras["ingest_stalls"] == float(result.flush_count)
+
+    def test_window_extras_exclude_warm_up_flushes(self, monkeypatch):
+        # The first flush runs during the warm-up and is slowed far past
+        # any real flush at this scale; neither the window's max nor its
+        # p99 stall may report it.
+        slow = 0.25
+        flush = KFlushingEngine.flush
+        calls = []
+
+        def slowed_flush(self, now):
+            calls.append(now)
+            if len(calls) == 1:
+                time.sleep(slow)
+            return flush(self, now)
+
+        monkeypatch.setattr(KFlushingEngine, "flush", slowed_flush)
+        result = run_trial(TrialSpec(policy="kflushing", scale=MICRO, seed=11))
+        assert 0 < result.flush_count < len(calls)
+        assert result.extras["ingest_stall_max_seconds"] < slow
+        assert result.extras["ingest_stall_p99_seconds"] < slow
+        assert (
+            result.extras["ingest_stall_p99_seconds"]
+            <= result.extras["ingest_stall_max_seconds"]
+        )
