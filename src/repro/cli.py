@@ -4,11 +4,10 @@ Subcommands
 -----------
 ``list``
     Show the available figure experiments and scale presets.
-``run --figure fig7 [--scale small] [--seed 42] [--jobs 4] [--shards 4] [--metrics-out m.jsonl]``
+``run --figure fig7 [--scale small] [--seed 42] [--jobs 4] [--metrics-out m.jsonl]``
     Run one figure experiment (or ``all``) and print its tables;
     ``--jobs`` fans the figure's trial grid out over worker processes
-    (results are identical to a serial run); ``--shards`` hash-partitions
-    each trial's system over N shards; ``--disk-cache-bytes`` /
+    (results are identical to a serial run); ``--disk-cache-bytes`` /
     ``--disk-elide-empty`` enable the modelled disk read cache and
     negative-lookup elision (both off by default — answers never change,
     only disk-lookup counts and simulated latency); ``--metrics-out``
@@ -18,20 +17,20 @@ Subcommands
     pool drains.
 ``bench [--preset tiny] [--seed 42] [--jobs 2] [--out BENCH_PR9.json] [--profile]``
     Run the performance benchmark suites (k-filled sampling, digestion
-    rate, flush cost, sweep wall-clock, shard scaling, disk tier,
+    rate, flush cost, sweep wall-clock, disk tier,
     adaptive-vs-static matrix, observability overhead) and write the
     perf-trajectory JSON (see docs/PERFORMANCE.md); ``--profile`` also
     writes a cProfile top-cumulative table beside the JSON.
-``stats [--shards 4] [--disk-cache-bytes N] [--disk-elide-empty]``
+``stats [--disk-cache-bytes N] [--disk-elide-empty]``
     Run a tiny synthetic workload and dump the instrumentation registry
     (flush phase spans, per-mode query counters, disk I/O, the
-    ingest-stall histogram with one sample per flush, per-shard gauges
-    when sharded) as JSON or Prometheus-style text; the system's
-    invariants are checked before the dump.
+    ingest-stall histogram with one sample per flush) as JSON or
+    Prometheus-style text; the system's invariants are checked before
+    the dump.
 ``trace metrics.jsonl [--top 5] [--require-miss-causes] [--strict]``
     Offline analysis of an events JSONL (``--metrics-out`` /
     ``--events-out`` output): reconstruct query/flush span trees, print
-    the top-N slowest queries with their shard/disk breakdown, flush
+    the top-N slowest queries with their disk-lookup breakdown, flush
     wall-time attribution per phase, the eviction-cause miss table, and
     the count of orphan spans dropped during reconstruction
     (``--strict`` turns orphans into a non-zero exit).
@@ -61,7 +60,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.config import SystemConfig
-from repro.engine.sharded import build_system
 from repro.engine.system import MicroblogSystem
 from repro.experiments.bench import ALL_SUITES, run_bench
 from repro.experiments.figures import ALL_FIGURES
@@ -104,7 +102,6 @@ def _figure_kwargs(
     fn,
     seed: int,
     jobs: int,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
     adaptive: bool = False,
@@ -114,16 +111,14 @@ def _figure_kwargs(
 ) -> dict:
     """Keyword arguments for one figure function.
 
-    ``jobs``, ``shards``, and the disk-tier gates are forwarded only to figures whose signatures support them (the
-    extension experiments, for instance, run serially; fig5 is an
-    engine-level experiment with no sharded variant).
+    ``jobs`` and the disk-tier gates are forwarded only to figures whose
+    signatures support them (the extension experiments, for instance,
+    run serially; fig5 is an engine-level experiment).
     """
     kwargs = {"seed": seed}
     params = inspect.signature(fn).parameters
     if jobs > 1 and "jobs" in params:
         kwargs["jobs"] = jobs
-    if shards > 1 and "shards" in params:
-        kwargs["shards"] = shards
     if disk_cache_bytes > 0 and "disk_cache_bytes" in params:
         kwargs["disk_cache_bytes"] = disk_cache_bytes
     if disk_elide_empty and "disk_elide_empty" in params:
@@ -209,7 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 fn,
                 args.seed,
                 jobs,
-                args.shards,
                 disk_cache_bytes=args.disk_cache_bytes,
                 disk_elide_empty=args.disk_elide_empty,
                 adaptive=args.adaptive,
@@ -305,11 +299,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"disk_lookups={summary['disk_lookups']}  spans={summary['spans']}"
         )
         for child in summary["children"]:
-            where = "" if child["shard"] is None else f" shard={child['shard']}"
             cache = "" if child["cache"] is None else f" cache={child['cache']}"
             print(
                 f"      {child['name']:22s} {child['seconds'] * 1e6:9.1f}us"
-                f"{where}{cache}"
+                f"{cache}"
             )
 
     flush = flush_attribution(traces)
@@ -434,11 +427,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         memory_capacity_bytes=2_000_000,
         and_scan_depth=500,
         and_disk_limit=500,
-        shards=args.shards,
         slo_spec=args.slo,
         flight_recorder_events=args.flight_recorder,
     )
-    system = build_system(config, obs=obs)
+    system = MicroblogSystem(config, obs=obs)
     server = OpsServer(
         system.obs.registry,
         port=args.port,
@@ -488,12 +480,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         memory_capacity_bytes=args.capacity_bytes,
         and_scan_depth=500,
         and_disk_limit=500,
-        shards=args.shards,
         disk_cache_bytes=args.disk_cache_bytes,
         disk_elide_empty=args.disk_elide_empty,
         adaptive=args.adaptive,
     )
-    system = build_system(config, obs=obs)
+    system = MicroblogSystem(config, obs=obs)
     stream = MicroblogStream(
         StreamConfig(seed=args.seed, vocabulary_size=5_000, with_locations=False)
     )
@@ -505,12 +496,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ingested += 1
         if ingested % per_query == 0:
             system.search(queries.next_query())
-    # Invariant check through the facade: per-engine structure plus, when
-    # sharded, the router's key-ownership invariant on every shard.
+    # Invariant check through the facade before the dump.
     system.check_integrity()
-    # snapshot() refreshes the per-shard gauges into the registry, so the
-    # rendered dump includes shard.<i>.* series for a sharded run; it also
-    # carries the per-key hotness tables when query-heat tracking is on.
+    # The snapshot carries the per-key hotness tables when query-heat
+    # tracking is on.
     snap = system.snapshot()
     obs.close()
     if args.format == "prom":
@@ -598,15 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "hash-partition each trial's system over N shards (total "
-            "memory budget split N ways; 1 = the paper's single partition)"
-        ),
-    )
-    run.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
@@ -638,8 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "adaptive kFlushing: a deterministic feedback controller "
-            "retunes per-key retention depth, shard budget slices and "
-            "phase-escalation slack at flush boundaries (fig1 only; "
+            "retunes per-key retention depth and phase-escalation slack "
+            "at flush boundaries (fig1 only; "
             "off = the paper's static tuning)"
         ),
     )
@@ -746,12 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--seed", type=int, default=42, help="workload seed")
     stats.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="hash-partition the system over N shards (adds shard.<i>.* series)",
-    )
-    stats.add_argument(
         "--format",
         default="json",
         choices=("json", "prom"),
@@ -788,9 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive",
         action="store_true",
         help=(
-            "adaptive kFlushing controller: per-key retention depth, "
-            "shard budget slices and escalation slack retuned at flush "
-            "boundaries (adds adaptive.* series and hot_keys tables)"
+            "adaptive kFlushing controller: per-key retention depth and "
+            "escalation slack retuned at flush boundaries (adds "
+            "adaptive.* series and hot_keys tables)"
         ),
     )
     stats.set_defaults(fn=_cmd_stats)
@@ -874,9 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="kflushing",
         choices=("fifo", "kflushing", "kflushing-mk", "lru"),
         help="flushing policy to drive",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=1, help="hash-partition over N shards"
     )
     serve.add_argument("--seed", type=int, default=42, help="workload seed")
     serve.add_argument(

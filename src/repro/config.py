@@ -54,21 +54,9 @@ class SystemConfig:
         Byte-cost and I/O-cost models.
     tile_side_degrees:
         Grid tile side used when ``attribute="spatial"``.
-    shards:
-        Number of hash-partitioned shards the system is split into
-        (1 = the paper's single-partition system).  Each shard owns its
-        own memory engine, budget, flush cycle, and disk-archive
-        namespace; see ``docs/ARCHITECTURE.md``.
-    shard_capacity_bytes:
-        Optional per-shard memory budgets (one entry per shard).  When
-        None, ``memory_capacity_bytes`` is split evenly across shards
-        (the first ``memory_capacity_bytes % shards`` shards absorb the
-        remainder byte each).
     disk_cache_bytes:
         Byte budget of the modelled disk read cache (0 = off, the
         default: the paper's cost accounting, every lookup pays a seek).
-        Sharded systems split the budget across shards the same way the
-        memory budget is split (see :meth:`disk_cache_capacity`).
     disk_elide_empty:
         When True, the query executor skips disk lookups for keys the
         archive provably holds no postings for (counted under
@@ -91,19 +79,15 @@ class SystemConfig:
     #: capped answers are flagged via ``QueryResult.provably_exact``.
     and_scan_depth: Union[int, None] = None
     and_disk_limit: Union[int, None] = None
-    #: Hash-partitioned shard count (1 = unsharded, the paper's system).
-    shards: int = 1
-    #: Optional per-shard budgets overriding the even capacity/N split.
-    shard_capacity_bytes: Union[tuple[int, ...], None] = None
     #: Modelled disk read-cache budget in bytes (0 = cache off).
     disk_cache_bytes: int = 0
     #: Skip provably-empty disk lookups on the executor miss paths.
     disk_elide_empty: bool = False
     #: Adaptive memory allocation (``repro.core.adaptive``): a
     #: deterministic feedback controller retunes per-key retention
-    #: depths, phase-escalation slack, and (sharded) budget slices at
-    #: flush-cycle boundaries.  Off by default: the static paper
-    #: behaviour is the differential reference.
+    #: depths and phase-escalation slack at flush-cycle boundaries.
+    #: Off by default: the static paper behaviour is the differential
+    #: reference.
     adaptive: bool = False
     #: Flush cycles between controller retune decisions (1 = every
     #: flush boundary; retuning is a few bounded sorts, so cheap).
@@ -112,8 +96,6 @@ class SystemConfig:
     adaptive_k_max: Union[int, None] = None
     #: Hot-set size promoted to deeper retention each retune.
     adaptive_hot_keys: int = 32
-    #: Max fraction of the total budget one shard rebalance may move.
-    adaptive_shard_step: float = 0.05
     #: Eviction-cause ledger capacity (keys).  Evictions recorded past
     #: it drop the oldest entry and bump ``eviction_ledger.dropped``.
     eviction_ledger_capacity: int = EvictionLedger.DEFAULT_CAPACITY
@@ -157,20 +139,6 @@ class SystemConfig:
                 raise ConfigurationError(
                     f"{name} must be None or >= k, got {value} (k={self.k})"
                 )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_capacity_bytes is not None:
-            budgets = self.shard_capacity_bytes
-            if len(budgets) != self.shards:
-                raise ConfigurationError(
-                    f"shard_capacity_bytes needs one entry per shard: got "
-                    f"{len(budgets)} entries for {self.shards} shards"
-                )
-            for i, budget in enumerate(budgets):
-                if budget <= 0:
-                    raise ConfigurationError(
-                        f"shard_capacity_bytes[{i}] must be positive, got {budget}"
-                    )
         if self.disk_cache_bytes < 0:
             raise ConfigurationError(
                 f"disk_cache_bytes must be non-negative, got {self.disk_cache_bytes}"
@@ -187,11 +155,6 @@ class SystemConfig:
         if self.adaptive_hot_keys < 1:
             raise ConfigurationError(
                 f"adaptive_hot_keys must be >= 1, got {self.adaptive_hot_keys}"
-            )
-        if not 0.0 < self.adaptive_shard_step < 1.0:
-            raise ConfigurationError(
-                f"adaptive_shard_step must be in (0, 1), got "
-                f"{self.adaptive_shard_step}"
             )
         if self.eviction_ledger_capacity < 1:
             raise ConfigurationError(
@@ -217,45 +180,6 @@ class SystemConfig:
         self.build_attribute()
         self.build_ranking()
 
-    def shard_capacity(self, shard_id: int) -> int:
-        """Memory budget of one shard.
-
-        Explicit ``shard_capacity_bytes`` wins; otherwise the global
-        budget is split evenly, with the first ``capacity % shards``
-        shards absorbing one remainder byte each so the shard budgets
-        always sum to ``memory_capacity_bytes``.
-        """
-        if not 0 <= shard_id < self.shards:
-            raise ConfigurationError(
-                f"shard_id must be in [0, {self.shards}), got {shard_id}"
-            )
-        if self.shard_capacity_bytes is not None:
-            return self.shard_capacity_bytes[shard_id]
-        base, remainder = divmod(self.memory_capacity_bytes, self.shards)
-        return base + (1 if shard_id < remainder else 0)
-
-    def disk_cache_capacity(self, shard_id: int) -> int:
-        """Disk-cache byte budget of one shard.
-
-        Mirrors :meth:`shard_capacity`: the global ``disk_cache_bytes``
-        is split evenly with the first ``budget % shards`` shards
-        absorbing one remainder byte each, so per-shard caches always
-        sum to the configured total.  Returns 0 when the cache is off.
-        """
-        if not 0 <= shard_id < self.shards:
-            raise ConfigurationError(
-                f"shard_id must be in [0, {self.shards}), got {shard_id}"
-            )
-        base, remainder = divmod(self.disk_cache_bytes, self.shards)
-        return base + (1 if shard_id < remainder else 0)
-
-    @property
-    def total_capacity_bytes(self) -> int:
-        """Summed memory budget across all shards."""
-        if self.shard_capacity_bytes is not None:
-            return sum(self.shard_capacity_bytes)
-        return self.memory_capacity_bytes
-
     def adaptive_settings(self) -> Union[AdaptiveSettings, None]:
         """The controller settings engines are built with, or None when
         ``adaptive`` is off (the legacy static path)."""
@@ -265,7 +189,6 @@ class SystemConfig:
             interval=self.adaptive_interval,
             k_max=self.adaptive_k_max,
             hot_keys=self.adaptive_hot_keys,
-            shard_step=self.adaptive_shard_step,
         )
 
     def build_slo_spec(self):

@@ -1,10 +1,8 @@
 """Flushing policies: kFlushing (+MK) and the FIFO / LRU baselines.
 
 Engines are instantiated through a **registry** rather than an
-if-chain so that (a) the sharded system builder can create one engine
-per shard from the same policy name, and (b) downstream extensions can
-register additional policies without editing this package
-(:func:`register_engine`).
+if-chain so that downstream extensions can register additional policies
+without editing this package (:func:`register_engine`).
 """
 
 from typing import Callable

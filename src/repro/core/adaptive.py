@@ -1,9 +1,8 @@
 """Adaptive memory allocation: a feedback controller over kFlushing.
 
 The paper's kFlushing runs with one global ``k`` and static budgets.
-This module closes the feedback loop the eviction-cause ledger (PR 5)
-and the shard-skew snapshot (PR 3) made possible, with three levers —
-all default-off behind ``SystemConfig.adaptive`` and all evaluated at
+This module closes the feedback loop the eviction-cause ledger made
+possible, with two levers — both default-off behind ``SystemConfig.adaptive`` and all evaluated at
 flush-cycle boundaries so the query and ingest hot paths stay untouched:
 
 * **Per-key retention depth** (:class:`KAllocator`): hot,
@@ -19,11 +18,6 @@ flush-cycle boundaries so the query and ingest hot paths stay untouched:
   that nearly met its budget in Phase 1 stops instead of wholesale-
   evicting entries that were about to be queried; when phase-1 causes
   dominate again the slack decays back to zero (the paper's behaviour).
-* **Shard budget rebalancing** (:class:`ShardBudgetBalancer`): the
-  sharded facade periodically shifts a bounded slice of the byte budget
-  from the coldest shard to the hottest one.  Routing is untouched, so
-  sharded==unsharded answer equality is preserved by construction; only
-  flush cadence per shard changes.
 
 Everything here is deterministic: decisions depend only on logical
 counters (query/eviction counts, flush counts, miss causes), ties break
@@ -45,7 +39,6 @@ __all__ = [
     "AdaptiveController",
     "KAllocator",
     "KeyHeat",
-    "ShardBudgetBalancer",
 ]
 
 #: Miss causes that mean "a wholesale eviction removed data a query
@@ -70,8 +63,6 @@ class AdaptiveSettings:
     k_max: Optional[int] = None
     #: Size of the hot set promoted to deeper retention each retune.
     hot_keys: int = 32
-    #: Max fraction of the total byte budget one shard rebalance may move.
-    shard_step: float = 0.05
     #: Escalation-slack adjustment per retune and its ceiling.
     slack_step: float = 0.1
     slack_max: float = 0.5
@@ -293,61 +284,3 @@ class AdaptiveController:
                 slack = max(0.0, slack - settings.slack_step)
             engine.escalation_slack = slack
         registry.gauge("adaptive.escalation_slack").set(engine.escalation_slack)
-
-
-class ShardBudgetBalancer:
-    """Bounded, sum-preserving shard-budget shifts toward hot shards.
-
-    Every ``interval * shards`` completed shard flushes, the shard that
-    flushed most in the window takes up to ``shard_step`` of the total
-    byte budget from the shard that flushed least, floored at half of
-    each shard's original budget so no shard can be starved.  Capacities
-    are updated on both the :class:`~repro.engine.sharded.Shard` and its
-    engine (``needs_flush`` reads the engine's own field).
-    """
-
-    def __init__(self, settings: AdaptiveSettings, shards) -> None:
-        self.settings = settings
-        self._flushes = 0
-        self._period = max(1, settings.interval * len(shards))
-        self._last_counts = [0] * len(shards)
-        #: Budget floors: half of each shard's construction-time budget.
-        self._floors = [max(1, shard.capacity_bytes // 2) for shard in shards]
-
-    def on_shard_flush(self, system) -> None:
-        self._flushes += 1
-        if self._flushes % self._period:
-            return
-        self.rebalance(system)
-
-    def rebalance(self, system) -> None:
-        shards = system.shards
-        counts = [len(shard.engine.flush_reports) for shard in shards]
-        window = [c - p for c, p in zip(counts, self._last_counts)]
-        self._last_counts = counts
-        hot = cold = 0
-        for i in range(1, len(window)):
-            if window[i] > window[hot]:
-                hot = i
-            if window[i] < window[cold]:
-                cold = i
-        if window[hot] <= window[cold]:
-            return
-        total = sum(shard.capacity_bytes for shard in shards)
-        step = max(1, int(total * self.settings.shard_step))
-        give = min(step, shards[cold].capacity_bytes - self._floors[cold])
-        if give <= 0:
-            return
-        shards[cold].capacity_bytes -= give
-        shards[cold].engine.capacity_bytes -= give
-        shards[hot].capacity_bytes += give
-        shards[hot].engine.capacity_bytes += give
-        registry = system.obs.registry
-        registry.counter("adaptive.shard_rebalances").inc()
-        registry.counter("adaptive.shard_bytes_moved").inc(give)
-        registry.gauge(f"shard.{shards[hot].shard_id}.memory.capacity_bytes").set(
-            shards[hot].capacity_bytes
-        )
-        registry.gauge(f"shard.{shards[cold].shard_id}.memory.capacity_bytes").set(
-            shards[cold].capacity_bytes
-        )

@@ -13,14 +13,8 @@ from repro.engine.queries import (
     TopKQuery,
     UserQuery,
 )
-from repro.engine.sharded import (
-    Shard,
-    ShardedMicroblogSystem,
-    ShardRouter,
-    build_system,
-)
 from repro.engine.stats import IngestStats, QueryStats, SystemStats, TimelinePoint
-from repro.engine.system import MicroblogSystem, MicroblogSystemBase
+from repro.engine.system import MicroblogSystem
 
 __all__ = [
     "AndQuery",
@@ -30,16 +24,11 @@ __all__ = [
     "LatencyHistogram",
     "LogicalClock",
     "MicroblogSystem",
-    "MicroblogSystemBase",
     "OrQuery",
     "QueryCostModel",
     "QueryExecutor",
     "QueryResult",
     "QueryStats",
-    "Shard",
-    "ShardRouter",
-    "ShardedMicroblogSystem",
-    "build_system",
     "parse_query",
     "SpatialQuery",
     "SystemStats",

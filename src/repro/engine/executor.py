@@ -65,8 +65,8 @@ class QueryResult:
 
 
 #: Backwards-compatible alias: the merge now lives in
-#: :mod:`repro.storage.topk` so the executor, the sharded scatter-gather
-#: path, and the segmented index share one implementation.
+#: :mod:`repro.storage.topk` so the executor and the segmented index
+#: share one implementation.
 _merge_topk = merge_topk
 
 
@@ -121,7 +121,7 @@ class QueryExecutor:
         """Evaluate ``query`` at time ``now`` and return its result.
 
         With tracing on, the whole evaluation becomes a ``query`` trace:
-        shard scatter-gather and disk lookups emit child spans, and the
+        disk lookups emit child spans, and the
         root event carries the outcome (hit, disk lookups, miss cause).
         """
         obs = self._obs

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.engine.latency import LatencyHistogram
 from repro.engine.queries import CombineMode
@@ -116,9 +116,6 @@ class TimelinePoint:
     capacity: int
     #: "before" (flush trigger), "after" (flush done), or "sample".
     kind: str = "sample"
-    #: Which shard this sample describes; None = the whole system
-    #: (always None on an unsharded system).
-    shard: Optional[int] = None
 
     @property
     def utilization(self) -> float:
@@ -139,13 +136,8 @@ class SystemStats:
         bytes_used: int,
         capacity: int,
         kind: str = "sample",
-        shard: Optional[int] = None,
     ) -> None:
-        self.timeline.append(TimelinePoint(time, bytes_used, capacity, kind, shard))
-
-    def shard_timeline(self, shard: Optional[int]) -> list[TimelinePoint]:
-        """The timeline restricted to one shard (None = system-level)."""
-        return [point for point in self.timeline if point.shard == shard]
+        self.timeline.append(TimelinePoint(time, bytes_used, capacity, kind))
 
     def flush_summary(self, reports: list["FlushReport"]) -> dict[str, float]:
         """Aggregate per-flush reports into one summary dict."""

@@ -9,18 +9,11 @@ together, reproducing the environment of the paper's Figure 2:
   flushing budget B to disk;
 * incoming top-k queries are answered memory-first, falling back to disk
   on a miss — and the hit ratio is the headline metric.
-
-:class:`MicroblogSystemBase` holds the facade surface shared with the
-hash-partitioned sibling (:class:`repro.engine.sharded.ShardedMicroblogSystem`):
-experiment harnesses program against the base contract and work with
-either build.  Use :func:`repro.engine.sharded.build_system` to construct
-whichever the config asks for.
 """
 
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from typing import Hashable, Iterable, Optional
 
 from repro.config import SystemConfig
@@ -39,226 +32,20 @@ from repro.obs.slo import SLOTracker
 from repro.obs.watermarks import WatermarkTracker
 from repro.storage.disk import DiskArchive
 
-__all__ = ["MicroblogSystem", "MicroblogSystemBase"]
+__all__ = ["MicroblogSystem"]
 
 
-class MicroblogSystemBase(ABC):
-    """Facade contract shared by the single-partition and sharded systems.
 
-    Subclass ``__init__`` must set ``config``, ``obs``, ``executor``,
-    ``clock``, and ``stats``; the base class implements everything that
-    is agnostic to how many partitions sit behind the executor.
-    """
 
-    config: SystemConfig
-    obs: Instrumentation
-    executor: QueryExecutor
-    clock: LogicalClock
-    stats: SystemStats
+class MicroblogSystem:
+    """A complete microblogs data-management system (Figure 2)."""
+
     #: Black-box ring buffer (``config.flight_recorder_events > 0``).
     flight_recorder: Optional[FlightRecorder]
     #: Error-budget tracker (``config.slo_spec`` set), ticked per flush.
     slo_tracker: Optional[SLOTracker]
     #: Resource high-water marks, sampled at flush boundaries.
     watermarks: WatermarkTracker
-
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
-    @abstractmethod
-    def ingest(self, record: Microblog) -> bool:
-        """Digest one record; triggers a flush when memory fills.
-
-        Returns False when the record has no keys under the configured
-        attribute (e.g. a tweet without hashtags in a keyword system) and
-        was skipped.
-        """
-
-    def ingest_many(self, records: Iterable[Microblog]) -> int:
-        """Digest a batch; returns how many records were indexed."""
-        indexed = 0
-        for record in records:
-            if self.ingest(record):
-                indexed += 1
-        return indexed
-
-    def _record_stall(self, seconds: float) -> None:
-        """Account one ingest-path pause: the wall time of a flush that
-        ran inline on the ingest path.  Feeds the ``ingest.stall_seconds``
-        histogram, one sample per flush, which SLO specs read."""
-        self.stats.ingest.record_stall(seconds)
-        self.obs.registry.counter("ingest.stalls").inc()
-        self.obs.registry.histogram("ingest.stall_seconds").record(seconds)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def search(self, query: TopKQuery, now: Optional[float] = None) -> QueryResult:
-        """Evaluate a top-k query and record hit/miss statistics."""
-        executed_at = self.now if now is None else now
-        result = self.executor.execute(query, executed_at)
-        self.stats.queries.record(
-            query.mode,
-            result.memory_hit,
-            result.simulated_latency,
-            disk_lookups=result.disk_lookups,
-        )
-        return result
-
-    def fetch_records(self, result: QueryResult) -> list[Microblog]:
-        """Materialize the record bodies of a query result."""
-        return self.executor.materialize(result)
-
-    # ------------------------------------------------------------------
-    # Service levels (SLO tracker, flight recorder, watermarks)
-    # ------------------------------------------------------------------
-
-    def _resolve_obs(
-        self, config: SystemConfig, obs: Optional[Instrumentation]
-    ) -> Instrumentation:
-        """Resolve the system's Instrumentation (explicit arg > active
-        scope > private) and, when the flight recorder is configured,
-        fork it with the recorder tee'd in front of the sink.  Must run
-        before any component is built so everything traces through the
-        recorder."""
-        resolved = obs if obs is not None else (get_active() or Instrumentation())
-        self.flight_recorder = None
-        if config.flight_recorder_events > 0:
-            resolved, self.flight_recorder = attach_flight_recorder(
-                resolved, config.flight_recorder_events
-            )
-        return resolved
-
-    def _init_service_levels(self) -> None:
-        """Build the watermark tracker and (when configured) the SLO
-        tracker; called at the end of subclass ``__init__``."""
-        self.watermarks = WatermarkTracker(self.obs.registry)
-        self.slo_tracker = None
-        spec = self.config.build_slo_spec()
-        if spec is not None:
-            tracker = SLOTracker(spec, self.obs.registry, emit=self.obs.event)
-            if self.flight_recorder is not None:
-                tracker.add_breach_callback(self._dump_on_breach)
-            self.slo_tracker = tracker
-
-    def _service_level_tick(self) -> None:
-        """One flush-boundary heartbeat: sample resource watermarks,
-        then evaluate the SLO objectives."""
-        self._sample_watermarks()
-        if self.slo_tracker is not None:
-            self.slo_tracker.tick()
-
-    def _sample_watermarks(self) -> None:
-        """Feed the watermark tracker; subclasses override."""
-
-    def slo_state(self) -> Optional[dict]:
-        """The SLO tracker's state dict, or None when no spec is set."""
-        if self.slo_tracker is None:
-            return None
-        return self.slo_tracker.state()
-
-    def dump_flight_recorder(
-        self, path: Optional[str] = None, reason: str = "on_demand"
-    ):
-        """Write the black box (recent traces + registry snapshot + SLO
-        state) to ``path``; returns the path written, or None when the
-        recorder is off."""
-        if self.flight_recorder is None:
-            return None
-        target = (
-            path if path is not None else self.config.resolved_flight_recorder_path()
-        )
-        return self.flight_recorder.dump(
-            target,
-            registry=self.obs.registry,
-            slo_state=self.slo_state(),
-            reason=reason,
-        )
-
-    def _dump_on_breach(self, payload: dict) -> None:
-        self.dump_flight_recorder(reason=f"slo_breach:{payload['name']}")
-
-    # ------------------------------------------------------------------
-    # Control and metrics
-    # ------------------------------------------------------------------
-
-    @abstractmethod
-    def set_k(self, k: int) -> None:
-        """Change k at run time (Section IV-C); applies from the next
-        flush cycle onward."""
-
-    def snapshot(self) -> dict:
-        """Point-in-time view of the instrumentation registry: every
-        counter, gauge, and histogram this system's components recorded
-        (flush spans, per-mode query hits/misses, disk I/O, ...)."""
-        return self.obs.registry.snapshot()
-
-    def hit_ratio(self) -> float:
-        return self.stats.queries.hit_ratio
-
-    def miss_attribution(self) -> dict[str, int]:
-        """Memory misses grouped by the eviction decision that caused
-        them: ``{"phase1-regular": 12, "never-resident": 3, ...}``.
-        Empty unless the shared Instrumentation has ``attribution=True``
-        (and at least one miss occurred)."""
-        return self.obs.registry.counter_values("query.miss.cause.")
-
-    @abstractmethod
-    def k_filled_count(self) -> int:
-        """Keys whose provable in-memory top-k is complete (Fig 7)."""
-
-    @abstractmethod
-    def memory_utilization(self) -> float:
-        """Used fraction of the (total) memory budget."""
-
-    @abstractmethod
-    def frequency_snapshot(self) -> dict[Hashable, int]:
-        """Key -> in-memory posting count (the Figure 1 snapshot)."""
-
-    @abstractmethod
-    def flush_reports(self) -> list[FlushReport]:
-        """Every flush this system ran, in chronological order."""
-
-    def digestion_rate(self) -> float:
-        """Pure insert-path digestion rate (records per wall second)."""
-        return self.stats.ingest.digestion_rate
-
-    def effective_digestion_rate(self) -> float:
-        """Digestion rate charged with all work that contends with the
-        ingestion path in a real deployment: flushing and the policy
-        bookkeeping triggered by queries.  This is the Figure 10(b)
-        measure — it is what separates FIFO, kFlushing, kFlushing-MK, and
-        LRU when queries and flushes run alongside ingestion.
-        """
-        ingest = self.stats.ingest
-        total = ingest.insert_seconds + ingest.flush_seconds
-        total += self.executor.bookkeeping_seconds
-        if total <= 0.0:
-            return 0.0
-        return ingest.indexed / total
-
-    @abstractmethod
-    def policy_overhead_bytes(self) -> int:
-        """Modelled bytes of the policy's private bookkeeping (Fig 10a)."""
-
-    def latency_percentile(self, p: float) -> float:
-        """Simulated query-latency percentile (the intro's SLO measure):
-        memory hits cost microseconds, misses pay simulated disk I/O."""
-        return self.stats.queries.latency.percentile(p)
-
-    @abstractmethod
-    def check_integrity(self) -> None:
-        """Assert the system's internal invariants."""
-
-
-class MicroblogSystem(MicroblogSystemBase):
-    """A complete microblogs data-management system (Figure 2)."""
 
     def __init__(
         self,
@@ -272,8 +59,15 @@ class MicroblogSystem(MicroblogSystemBase):
         #: ``repro.obs.activated`` scope (experiment runs) or a private
         #: registry (the library default).  When the flight recorder is
         #: configured the resolved instance is forked with the recorder
-        #: ring buffer tee'd in front of the sink.
-        self.obs = self._resolve_obs(config, obs)
+        #: ring buffer tee'd in front of the sink, before any component
+        #: is built, so everything traces through the recorder.
+        resolved = obs if obs is not None else (get_active() or Instrumentation())
+        self.flight_recorder = None
+        if config.flight_recorder_events > 0:
+            resolved, self.flight_recorder = attach_flight_recorder(
+                resolved, config.flight_recorder_events
+            )
+        self.obs = resolved
         self.attribute = config.build_attribute()
         self.ranking = config.build_ranking()
         model = config.memory_model
@@ -307,13 +101,30 @@ class MicroblogSystem(MicroblogSystemBase):
         )
         self.clock = LogicalClock()
         self.stats = SystemStats()
-        self._init_service_levels()
+        self.watermarks = WatermarkTracker(self.obs.registry)
+        self.slo_tracker = None
+        spec = config.build_slo_spec()
+        if spec is not None:
+            tracker = SLOTracker(spec, self.obs.registry, emit=self.obs.event)
+            if self.flight_recorder is not None:
+                tracker.add_breach_callback(self._dump_on_breach)
+            self.slo_tracker = tracker
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
 
+    @property
+    def now(self) -> float:
+        return self.clock.now
+
     def ingest(self, record: Microblog) -> bool:
+        """Digest one record; triggers a flush when memory fills.
+
+        Returns False when the record has no keys under the configured
+        attribute (e.g. a tweet without hashtags in a keyword system) and
+        was skipped.
+        """
         self.clock.advance_to(record.timestamp)
         self.stats.ingest.offered += 1
         start = time.perf_counter()
@@ -328,6 +139,14 @@ class MicroblogSystem(MicroblogSystemBase):
             self._flush()
         return True
 
+    def ingest_many(self, records: Iterable[Microblog]) -> int:
+        """Digest a batch; returns how many records were indexed."""
+        indexed = 0
+        for record in records:
+            if self.ingest(record):
+                indexed += 1
+        return indexed
+
     def _flush(self) -> FlushReport:
         now = self.now
         self.stats.sample_memory(
@@ -338,8 +157,13 @@ class MicroblogSystem(MicroblogSystemBase):
         )
         report = self.engine.run_flush(now)
         # The flush runs on the ingest path and stalls it for its whole
-        # wall time.
-        self._record_stall(report.wall_seconds)
+        # wall time: one sample per flush in the ``ingest.stall_seconds``
+        # histogram, which SLO specs read.
+        self.stats.ingest.record_stall(report.wall_seconds)
+        self.obs.registry.counter("ingest.stalls").inc()
+        self.obs.registry.histogram("ingest.stall_seconds").record(
+            report.wall_seconds
+        )
         self.stats.ingest.flush_seconds += report.wall_seconds
         after = self.engine.memory_bytes
         self.stats.sample_memory(
@@ -358,7 +182,33 @@ class MicroblogSystem(MicroblogSystemBase):
         self._service_level_tick()
         return report
 
-    def _sample_watermarks(self) -> None:
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+
+    def search(self, query: TopKQuery, now: Optional[float] = None) -> QueryResult:
+        """Evaluate a top-k query and record hit/miss statistics."""
+        executed_at = self.now if now is None else now
+        result = self.executor.execute(query, executed_at)
+        self.stats.queries.record(
+            query.mode,
+            result.memory_hit,
+            result.simulated_latency,
+            disk_lookups=result.disk_lookups,
+        )
+        return result
+
+    def fetch_records(self, result: QueryResult) -> list[Microblog]:
+        """Materialize the record bodies of a query result."""
+        return self.executor.materialize(result)
+
+    # ------------------------------------------------------------------
+    # Service levels (SLO tracker, flight recorder, watermarks)
+    # ------------------------------------------------------------------
+
+    def _service_level_tick(self) -> None:
+        """One flush-boundary heartbeat: sample resource watermarks,
+        then evaluate the SLO objectives."""
         watermarks = self.watermarks
         watermarks.observe("memory.bytes_used", self.engine.memory_bytes)
         if self.disk.cache is not None:
@@ -366,40 +216,112 @@ class MicroblogSystem(MicroblogSystemBase):
         ledger = self.engine.eviction_ledger
         if ledger is not None:
             watermarks.observe("eviction_ledger.entries", len(ledger))
+        if self.slo_tracker is not None:
+            self.slo_tracker.tick()
+
+    def slo_state(self) -> Optional[dict]:
+        """The SLO tracker's state dict, or None when no spec is set."""
+        if self.slo_tracker is None:
+            return None
+        return self.slo_tracker.state()
+
+    def dump_flight_recorder(
+        self, path: Optional[str] = None, reason: str = "on_demand"
+    ):
+        """Write the black box (recent traces + registry snapshot + SLO
+        state) to ``path``; returns the path written, or None when the
+        recorder is off."""
+        if self.flight_recorder is None:
+            return None
+        target = (
+            path if path is not None else self.config.resolved_flight_recorder_path()
+        )
+        return self.flight_recorder.dump(
+            target,
+            registry=self.obs.registry,
+            slo_state=self.slo_state(),
+            reason=reason,
+        )
+
+    def _dump_on_breach(self, payload: dict) -> None:
+        self.dump_flight_recorder(reason=f"slo_breach:{payload['name']}")
 
     # ------------------------------------------------------------------
     # Control and metrics
     # ------------------------------------------------------------------
 
     def set_k(self, k: int) -> None:
+        """Change k at run time (Section IV-C); applies from the next
+        flush cycle onward."""
         self.engine.set_k(k)
 
-    def k_filled_count(self) -> int:
-        return self.engine.k_filled_count()
-
-    def memory_utilization(self) -> float:
-        return self.engine.memory_bytes / self.config.memory_capacity_bytes
-
-    def frequency_snapshot(self) -> dict[Hashable, int]:
-        return self.engine.frequency_snapshot()
-
     def snapshot(self) -> dict:
-        """Registry snapshot extended with the per-key hotness table
-        (``hot_keys``) whenever heat tracking is on (attribution or
-        adaptive mode)."""
-        snap = super().snapshot()
+        """Point-in-time view of the instrumentation registry: every
+        counter, gauge, and histogram this system's components recorded
+        (flush spans, per-mode query hits/misses, disk I/O, ...), plus
+        the per-key hotness table (``hot_keys``) whenever heat tracking
+        is on (attribution or adaptive mode)."""
+        snap = self.obs.registry.snapshot()
         hot = self.engine.hot_keys()
         if hot:
             snap["hot_keys"] = hot
         return snap
 
+    def hit_ratio(self) -> float:
+        return self.stats.queries.hit_ratio
+
+    def miss_attribution(self) -> dict[str, int]:
+        """Memory misses grouped by the eviction decision that caused
+        them: ``{"phase1-regular": 12, "never-resident": 3, ...}``.
+        Empty unless the shared Instrumentation has ``attribution=True``
+        (and at least one miss occurred)."""
+        return self.obs.registry.counter_values("query.miss.cause.")
+
+    def k_filled_count(self) -> int:
+        """Keys whose provable in-memory top-k is complete (Fig 7)."""
+        return self.engine.k_filled_count()
+
+    def memory_utilization(self) -> float:
+        """Used fraction of the memory budget."""
+        return self.engine.memory_bytes / self.config.memory_capacity_bytes
+
+    def frequency_snapshot(self) -> dict[Hashable, int]:
+        """Key -> in-memory posting count (the Figure 1 snapshot)."""
+        return self.engine.frequency_snapshot()
+
     def flush_reports(self) -> list[FlushReport]:
+        """Every flush this system ran, in chronological order."""
         return self.engine.flush_reports
 
+    def digestion_rate(self) -> float:
+        """Pure insert-path digestion rate (records per wall second)."""
+        return self.stats.ingest.digestion_rate
+
+    def effective_digestion_rate(self) -> float:
+        """Digestion rate charged with all work that contends with the
+        ingestion path in a real deployment: flushing and the policy
+        bookkeeping triggered by queries.  This is the Figure 10(b)
+        measure — it is what separates FIFO, kFlushing, kFlushing-MK, and
+        LRU when queries and flushes run alongside ingestion.
+        """
+        ingest = self.stats.ingest
+        total = ingest.insert_seconds + ingest.flush_seconds
+        total += self.executor.bookkeeping_seconds
+        if total <= 0.0:
+            return 0.0
+        return ingest.indexed / total
+
     def policy_overhead_bytes(self) -> int:
+        """Modelled bytes of the policy's private bookkeeping (Fig 10a)."""
         return self.engine.policy_overhead_bytes
 
+    def latency_percentile(self, p: float) -> float:
+        """Simulated query-latency percentile (the intro's SLO measure):
+        memory hits cost microseconds, misses pay simulated disk I/O."""
+        return self.stats.queries.latency.percentile(p)
+
     def check_integrity(self) -> None:
+        """Assert the system's internal invariants."""
         self.engine.check_integrity()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

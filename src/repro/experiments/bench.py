@@ -21,9 +21,6 @@ context:
 * ``flush``    — flush cost per freed MB per policy over the same run;
 * ``sweep``    — wall-clock of a small trial grid executed serially vs
   through the process-parallel runner (``--jobs``);
-* ``shards``   — one steady-state trial per shard count: trial
-  wall-clock, hit ratio, and effective digestion rate at N ∈ {1, 2, 4}
-  hash-partitioned shards over a fixed total budget;
 * ``disk``     — disk-tier micro-benchmarks on a skewed synthetic flush
   workload: ``commit_flush`` posting throughput under the segmented-runs
   layout vs the flat per-posting ``insort`` it replaced, bounded top-k
@@ -75,7 +72,6 @@ __all__ = [
     "bench_kfilled_sampling",
     "bench_digestion_and_flush",
     "bench_sweep_wallclock",
-    "bench_shard_scaling",
     "bench_disk_tier",
     "bench_obs_overhead",
     "bench_adaptive_matrix",
@@ -157,15 +153,17 @@ def bench_digestion_and_flush(
     ``eval_records`` further records); digestion rate is records per
     wall-second over the measured prefix (flush time included, as in a
     real ingest path), and flush cost is wall seconds spent flushing per
-    MB of modelled memory actually freed.
+    MB of modelled memory actually freed.  The measured records are
+    generated before the timer starts, so the rate times ingest only.
     """
     records: list[BenchRecord] = []
     for policy in BENCH_POLICIES:
         spec = TrialSpec(policy=policy, scale=preset, seed=seed)
         system, stream = _warmed_system(spec)
         flushes0 = len(system.flush_reports())
+        batch = stream.take(spec.scale.eval_records)
         start = time.perf_counter()
-        system.ingest_many(stream.take(spec.scale.eval_records))
+        system.ingest_many(batch)
         elapsed = time.perf_counter() - start
         reports = system.flush_reports()[flushes0:]
         rate = spec.scale.eval_records / elapsed if elapsed > 0 else 0.0
@@ -222,47 +220,6 @@ def bench_sweep_wallclock(
                 "x",
                 seed,
             )
-        )
-    return records
-
-
-def bench_shard_scaling(
-    preset: ScalePreset, seed: int, shard_counts: Sequence[int] = (1, 2, 4)
-) -> list[BenchRecord]:
-    """Steady-state trial cost and quality as the shard count grows.
-
-    Each point runs the standard ``run_trial`` protocol with the *same*
-    total memory budget hash-partitioned over N shards.  Wall-clock
-    prices the routing/fan-out overhead of the sharded facade; the hit
-    ratio and effective digestion rate track what partitioning does to
-    the paper's headline metrics (deterministic given the seed).
-    """
-    records: list[BenchRecord] = []
-    for n in shard_counts:
-        spec = TrialSpec(policy="kflushing", scale=preset, seed=seed, shards=n)
-        start = time.perf_counter()
-        result = run_trial(spec)
-        elapsed = time.perf_counter() - start
-        records.extend(
-            [
-                BenchRecord(
-                    f"shard_trial_wallclock_n{n}", "kflushing", elapsed, "s", seed
-                ),
-                BenchRecord(
-                    f"shard_hit_ratio_n{n}",
-                    "kflushing",
-                    100.0 * result.hit_ratio,
-                    "%",
-                    seed,
-                ),
-                BenchRecord(
-                    f"shard_effective_digestion_n{n}",
-                    "kflushing",
-                    result.effective_digestion_rate,
-                    "records/s",
-                    seed,
-                ),
-            ]
         )
     return records
 
@@ -417,9 +374,9 @@ def _dense_digestion_spec(preset: ScalePreset, seed: int) -> TrialSpec:
 #: The adaptive-vs-static matrix (scenario × budget).  Scenarios cover
 #: the regimes the controller is built for: ``uniform`` is the no-signal
 #: control (deltas should be ~0 — adaptivity must not hurt), ``zipf-hot``
-#: concentrates data and queries on a hot head, ``flash-crowd`` runs
-#: sharded and shifts the query load mid-window from uniform to
-#: hot-head-correlated (a crowd forming), and ``multi-key`` weights the
+#: concentrates data and queries on a hot head, ``flash-crowd`` shifts
+#: the query load mid-window from uniform to hot-head-correlated (a
+#: crowd forming), and ``multi-key`` weights the
 #: mix toward 2-keyword AND queries whose operational hits depend on
 #: intersection depth.
 @dataclass(frozen=True)
@@ -428,7 +385,6 @@ class _AdaptiveScenario:
     workload_mode: str = "correlated"
     keyword_zipf: Optional[float] = None
     mix: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    shards: int = 1
     #: Switch the query load from uniform to hot-head-correlated halfway
     #: through the measurement window.
     shift: bool = False
@@ -437,7 +393,7 @@ class _AdaptiveScenario:
 _ADAPTIVE_SCENARIOS = (
     _AdaptiveScenario("uniform", workload_mode="uniform"),
     _AdaptiveScenario("zipf-hot", keyword_zipf=1.2),
-    _AdaptiveScenario("flash-crowd", workload_mode="uniform", shards=4, shift=True),
+    _AdaptiveScenario("flash-crowd", workload_mode="uniform", shift=True),
     _AdaptiveScenario("multi-key", mix=(0.2, 0.6, 0.2)),
 )
 _ADAPTIVE_BUDGETS = (("tight", 10.0), ("normal", 30.0))
@@ -464,7 +420,6 @@ def _adaptive_point(
         scale=preset,
         seed=seed,
         memory_gb=memory_gb,
-        shards=scenario.shards,
         workload_mode=scenario.workload_mode,
         keyword_zipf=scenario.keyword_zipf,
         adaptive=adaptive,
@@ -515,8 +470,8 @@ def bench_adaptive_matrix(preset: ScalePreset, seed: int) -> list[BenchRecord]:
 
     Every cell replays the identical deterministic workload twice at the
     same byte budget — once with the paper's static tuning and once with
-    the adaptive controller (per-key retention depth, shard budget
-    slices, escalation slack).  Hit ratios are deterministic given the
+    the adaptive controller (per-key retention depth and escalation
+    slack).  Hit ratios are deterministic given the
     seed; the digestion ratio is wall-clock and prices the controller's
     bookkeeping overhead (it must stay near 1.0).
     """
@@ -680,7 +635,6 @@ ALL_SUITES: dict[str, Callable[..., list[BenchRecord]]] = {
     "kfilled": lambda preset, seed, jobs: bench_kfilled_sampling(preset, seed),
     "digestion": lambda preset, seed, jobs: bench_digestion_and_flush(preset, seed),
     "sweep": bench_sweep_wallclock,
-    "shards": lambda preset, seed, jobs: bench_shard_scaling(preset, seed),
     "disk": lambda preset, seed, jobs: bench_disk_tier(preset, seed),
     "adaptive": lambda preset, seed, jobs: bench_adaptive_matrix(preset, seed),
     "obs_overhead": lambda preset, seed, jobs: bench_obs_overhead(preset, seed),

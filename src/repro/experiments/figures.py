@@ -22,14 +22,7 @@ from repro.experiments.runner import (
     run_digestion_stress,
     run_trial,
 )
-from repro.experiments.scale import (
-    PAPER_FLUSH_BUDGET,
-    PAPER_K,
-    PAPER_MEMORY_GB,
-    SMALL,
-    ScalePreset,
-)
-from repro.workload.stream import MicroblogStream, StreamConfig
+from repro.experiments.scale import SMALL, ScalePreset
 
 __all__ = [
     "SweepResult",
@@ -43,7 +36,6 @@ __all__ = [
     "fig10_overhead",
     "fig11_spatial",
     "fig12_user",
-    "shard_sweep",
     "ALL_FIGURES",
 ]
 
@@ -56,7 +48,6 @@ K_SWEEP = (5, 10, 20, 40, 60, 80, 100)
 K_SWEEP_SHORT = (5, 20, 40, 60, 80, 100)
 BUDGET_SWEEP = (0.2, 0.4, 0.6, 0.8, 1.0)
 MEMORY_SWEEP_GB = (10.0, 20.0, 30.0, 40.0, 50.0)
-SHARD_SWEEP = (1, 2, 4, 8)
 
 
 @dataclass
@@ -136,7 +127,6 @@ def _sweep(
 def fig1_snapshot(
     preset: ScalePreset = SMALL,
     seed: int = 42,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
     adaptive: bool = False,
@@ -158,7 +148,6 @@ def fig1_snapshot(
             policy=policy,
             scale=preset,
             seed=seed,
-            shards=shards,
             disk_cache_bytes=disk_cache_bytes,
             disk_elide_empty=disk_elide_empty,
             adaptive=adaptive,
@@ -296,7 +285,6 @@ def fig7_k_filled(
     preset: ScalePreset = SMALL,
     seed: int = 42,
     jobs: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
 ) -> FigureResult:
@@ -321,7 +309,6 @@ def fig7_k_filled(
                 k=int(x),
                 scale=preset,
                 seed=seed,
-                shards=shards,
                 **disk_kwargs,
             ),
             measure,
@@ -342,7 +329,6 @@ def fig7_k_filled(
                 flush_budget=x / 100.0,
                 scale=preset,
                 seed=seed,
-                shards=shards,
                 **disk_kwargs,
             ),
             measure,
@@ -362,7 +348,6 @@ def fig7_k_filled(
                 memory_gb=x,
                 scale=preset,
                 seed=seed,
-                shards=shards,
                 **disk_kwargs,
             ),
             measure,
@@ -385,7 +370,6 @@ def _hit_figure(
     seed: int,
     expectation: str,
     jobs: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
     slo_spec: Optional[str] = None,
@@ -410,7 +394,6 @@ def _hit_figure(
             workload_mode=workload_mode,
             scale=preset,
             seed=seed,
-            shards=shards,
             **disk_kwargs,
         )
 
@@ -421,7 +404,6 @@ def _hit_figure(
             workload_mode=workload_mode,
             scale=preset,
             seed=seed,
-            shards=shards,
             **disk_kwargs,
         )
 
@@ -432,7 +414,6 @@ def _hit_figure(
             workload_mode=workload_mode,
             scale=preset,
             seed=seed,
-            shards=shards,
             **disk_kwargs,
         )
 
@@ -486,7 +467,6 @@ def fig8_hit_correlated(
     preset: ScalePreset = SMALL,
     seed: int = 42,
     jobs: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
     slo_spec: Optional[str] = None,
@@ -502,7 +482,6 @@ def fig8_hit_correlated(
         "(paper: 12-20% absolute over FIFO, 2-18% over LRU); decreasing "
         "in k and flushing budget, increasing in memory budget.",
         jobs=jobs,
-        shards=shards,
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
         slo_spec=slo_spec,
@@ -515,7 +494,6 @@ def fig9_hit_uniform(
     preset: ScalePreset = SMALL,
     seed: int = 42,
     jobs: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
     slo_spec: Optional[str] = None,
@@ -531,7 +509,6 @@ def fig9_hit_uniform(
         "uniform load); kFlushing variants give large *relative* gains "
         "(paper: 100-330% over FIFO, 26-240% over LRU).",
         jobs=jobs,
-        shards=shards,
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
         slo_spec=slo_spec,
@@ -549,7 +526,6 @@ def fig10_overhead(
     seed: int = 42,
     jobs: int = 1,
     digestion_seeds: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
 ) -> FigureResult:
@@ -580,7 +556,6 @@ def fig10_overhead(
                 k=k,
                 scale=preset,
                 seed=s,
-                shards=shards,
                 **disk_kwargs,
             )
             for policy, k, s in grid
@@ -652,7 +627,6 @@ def _attribute_figure(
     preset: ScalePreset,
     seed: int,
     jobs: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
 ) -> FigureResult:
@@ -673,7 +647,6 @@ def _attribute_figure(
                 memory_gb=gb,
                 scale=preset,
                 seed=seed,
-                shards=shards,
                 disk_cache_bytes=disk_cache_bytes,
                 disk_elide_empty=disk_elide_empty,
             )
@@ -735,7 +708,6 @@ def fig11_spatial(
     preset: ScalePreset = SMALL,
     seed: int = 42,
     jobs: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
 ) -> FigureResult:
@@ -746,7 +718,6 @@ def fig11_spatial(
         preset,
         seed,
         jobs=jobs,
-        shards=shards,
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
     )
@@ -756,7 +727,6 @@ def fig12_user(
     preset: ScalePreset = SMALL,
     seed: int = 42,
     jobs: int = 1,
-    shards: int = 1,
     disk_cache_bytes: int = 0,
     disk_elide_empty: bool = False,
 ) -> FigureResult:
@@ -767,76 +737,9 @@ def fig12_user(
         preset,
         seed,
         jobs=jobs,
-        shards=shards,
         disk_cache_bytes=disk_cache_bytes,
         disk_elide_empty=disk_elide_empty,
     )
-
-
-# ----------------------------------------------------------------------
-# Shard-count sweep (sharded-architecture experiment; no paper analogue)
-# ----------------------------------------------------------------------
-
-def shard_sweep(
-    preset: ScalePreset = SMALL,
-    seed: int = 42,
-    jobs: int = 1,
-    shard_counts: Sequence[int] = SHARD_SWEEP,
-    disk_cache_bytes: int = 0,
-    disk_elide_empty: bool = False,
-) -> FigureResult:
-    """Hit ratio and effective digestion rate vs shard count.
-
-    Every trial keeps the *total* memory budget fixed and splits it over
-    N hash-partitioned shards (capacity/N each, independent flush
-    cycles).  Two effects compete as N grows: per-shard flushes are
-    smaller and cheaper, but multi-key records are replicated into every
-    owning shard, so the same budget holds fewer distinct records — the
-    hit-ratio curve prices that replication.
-    """
-    policies = ("fifo", "kflushing")
-
-    def spec_for(policy: str, x: float) -> TrialSpec:
-        return TrialSpec(
-            policy=policy,
-            scale=preset,
-            seed=seed,
-            shards=int(x),
-            disk_cache_bytes=disk_cache_bytes,
-            disk_elide_empty=disk_elide_empty,
-        )
-
-    panels = [
-        _sweep(
-            "shardsa",
-            "hit ratio vs shard count",
-            "shards",
-            "hit ratio (%)",
-            list(shard_counts),
-            policies,
-            spec_for,
-            lambda result: round(result.hit_percent, 2),
-            "Gently decreasing in N (fan-out replication dilutes the "
-            "fixed total budget); kFlushing stays above FIFO at every N.",
-            jobs=jobs,
-        ),
-        _sweep(
-            "shardsb",
-            "effective digestion rate vs shard count",
-            "shards",
-            "digestion rate (K records/s)",
-            list(shard_counts),
-            policies,
-            spec_for,
-            lambda result: round(result.effective_digestion_rate / 1000.0, 1),
-            "Within a small factor of N=1 (single-process simulation pays "
-            "routing overhead without the parallel-flush win a threaded "
-            "deployment would collect); smaller per-shard flushes shorten "
-            "the ingestion stalls.",
-            jobs=jobs,
-        ),
-    ]
-    return FigureResult("shards", "Hash-partitioned shard-count sweep", panels)
 
 
 #: Registry used by the CLI and the benchmark harness.  The extension
@@ -850,5 +753,4 @@ ALL_FIGURES: dict[str, Callable[..., FigureResult]] = {
     "fig10": fig10_overhead,
     "fig11": fig11_spatial,
     "fig12": fig12_user,
-    "shards": shard_sweep,
 }

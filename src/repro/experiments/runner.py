@@ -26,8 +26,7 @@ from typing import Optional, Union
 
 from repro.config import SystemConfig
 from repro.engine.queries import CombineMode
-from repro.engine.sharded import build_system as build_system_from_config
-from repro.engine.system import MicroblogSystemBase
+from repro.engine.system import MicroblogSystem
 from repro.engine.stats import QueryStats
 from repro.errors import ConfigurationError
 from repro.obs import Instrumentation, JsonlSink
@@ -66,11 +65,6 @@ class TrialSpec:
     #: instead of the paper's operational one; used by the AND-semantics
     #: ablation.
     strict_and: bool = False
-    #: Hash-partitioned shard count (1 = the paper's single partition).
-    shards: int = 1
-    #: Build the sharded facade even at ``shards=1`` (the differential
-    #: test's hook for proving the sharded path is bit-identical).
-    force_sharded: bool = False
     #: Modelled disk read-cache budget (0 = off, the paper's accounting).
     disk_cache_bytes: int = 0
     #: Skip provably-empty disk lookups on the executor miss paths.
@@ -90,7 +84,7 @@ class TrialSpec:
     #: Breach-dump path (None = ``flight_recorder_dump.jsonl``).
     flight_recorder_path: str | None = None
 
-    def build_system(self, obs: Optional[Instrumentation] = None) -> MicroblogSystemBase:
+    def build_system(self, obs: Optional[Instrumentation] = None) -> MicroblogSystem:
         config = SystemConfig(
             policy=self.policy,
             attribute=self.attribute,
@@ -100,7 +94,6 @@ class TrialSpec:
             and_scan_depth=max(self.scale.and_scan_depth, self.k),
             and_disk_limit=max(self.scale.and_disk_limit, self.k),
             tile_side_degrees=self.scale.tile_side_degrees,
-            shards=self.shards,
             disk_cache_bytes=self.disk_cache_bytes,
             disk_elide_empty=self.disk_elide_empty,
             adaptive=self.adaptive,
@@ -109,12 +102,7 @@ class TrialSpec:
             flight_recorder_events=self.flight_recorder_events,
             flight_recorder_path=self.flight_recorder_path,
         )
-        return build_system_from_config(
-            config,
-            strict_and=self.strict_and,
-            obs=obs,
-            force_sharded=self.force_sharded,
-        )
+        return MicroblogSystem(config, strict_and=self.strict_and, obs=obs)
 
     def build_stream(self) -> MicroblogStream:
         kwargs = dict(
@@ -163,7 +151,7 @@ class TrialResult:
         return 100.0 * self.hit_ratio
 
 
-def _warm_up(system: MicroblogSystemBase, stream: MicroblogStream, spec: TrialSpec) -> int:
+def _warm_up(system: MicroblogSystem, stream: MicroblogStream, spec: TrialSpec) -> int:
     """Ingest until steady state (several flushes) and return the count."""
     warmed = 0
     while (
@@ -199,7 +187,7 @@ def _trial_obs(metrics_path: Optional[Union[str, Path]]) -> Optional[Instrumenta
 
 
 def _finish_trial_metrics(
-    system: MicroblogSystemBase, spec: TrialSpec, obs: Optional[Instrumentation]
+    system: MicroblogSystem, spec: TrialSpec, obs: Optional[Instrumentation]
 ) -> None:
     """Append the end-of-trial registry snapshot and release the sink."""
     if obs is None:
@@ -215,7 +203,7 @@ def _finish_trial_metrics(
     obs.close()
 
 
-def _ingest_baseline(system: MicroblogSystemBase) -> tuple:
+def _ingest_baseline(system: MicroblogSystem) -> tuple:
     """Ingest counters at the start of the measurement window."""
     ingest = system.stats.ingest
     return (
@@ -228,7 +216,7 @@ def _ingest_baseline(system: MicroblogSystemBase) -> tuple:
 
 
 def _collect_result(
-    system: MicroblogSystemBase,
+    system: MicroblogSystem,
     spec: TrialSpec,
     ingest0: tuple,
     book0: float,

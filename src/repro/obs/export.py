@@ -27,9 +27,7 @@ __all__ = ["to_json", "to_prometheus_text"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
-# Longest-prefix-match HELP text for metric families.  The shard prefix
-# is stripped before matching so shard.3.disk.lookups shares disk.'s
-# help line.
+# Longest-prefix-match HELP text for metric families.
 _HELP_PREFIXES = (
     ("query.miss.cause.", "Memory misses attributed to the eviction decision that caused them"),
     ("query.", "Query execution: per-mode hits/misses, disk lookups, latency"),
@@ -41,7 +39,6 @@ _HELP_PREFIXES = (
     ("slo.", "SLO objective state: windowed value, budget spent, burn rates"),
     ("watermark.", "Resource high-water marks sampled at flush boundaries"),
 )
-_SHARD_RE = re.compile(r"^shard\.\d+\.")
 
 
 def _prom_name(name: str) -> str:
@@ -52,11 +49,8 @@ def _prom_name(name: str) -> str:
 
 
 def _help_text(name: str) -> str:
-    stripped = _SHARD_RE.sub("", name)
     for prefix, text in _HELP_PREFIXES:
-        if stripped.startswith(prefix):
-            if stripped != name:
-                return f"{text} (per-shard twin)"
+        if name.startswith(prefix):
             return text
     return "repro metric"
 

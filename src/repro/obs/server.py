@@ -109,7 +109,7 @@ class OpsServer:
     ``port=0`` asks the OS for a free port (tests); the bound port is on
     ``server.port`` after :meth:`start`.  ``snapshot_provider`` lets an
     entry point serve a richer ``/snapshot`` (e.g. the system facade's
-    ``snapshot()`` with per-shard tables) instead of the bare registry.
+    ``snapshot()`` with its hot-key table) instead of the bare registry.
     ``slo_provider`` (e.g. the facade's ``slo_state``) turns on ``/slo``
     and makes ``/healthz`` breach-aware; it is read-only — serving never
     ticks the tracker, so scrape rate cannot skew tick-based budgets.

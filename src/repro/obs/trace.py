@@ -2,8 +2,7 @@
 
 A *trace* follows one logical operation — a top-k query or a flush
 cycle — end to end: through the executor's single/OR/AND paths, the
-sharded scatter-gather adapters, the disk tier's cache/run machinery,
-and the per-phase flush spans.  Each trace is a tree of *spans*; every
+disk tier's cache/run machinery, and the per-phase flush spans.  Each trace is a tree of *spans*; every
 span event carries ``(trace, span, parent_span)`` so the tree can be
 reassembled offline from the JSONL event stream (see
 :mod:`repro.obs.traceview` and the ``repro trace`` CLI).

@@ -12,7 +12,7 @@ On top of the reconstructed trees this module derives the reports the
 ops workflow needs:
 
 * :func:`query_summaries` — the top-N slowest query traces with their
-  per-child (shard lookup / disk lookup) time breakdown;
+  per-child (disk lookup) time breakdown;
 * :func:`flush_attribution` — flush wall time attributed to each
   kFlushing phase across all flush traces;
 * :func:`miss_cause_table` — the eviction-cause miss histogram, from
@@ -191,7 +191,6 @@ def query_summaries(traces: Iterable[Trace], top: int = 10) -> list[dict]:
             {
                 "name": child.name,
                 "seconds": child.seconds,
-                "shard": child.fields.get("shard"),
                 "key": child.fields.get("key"),
                 "cache": child.fields.get("cache"),
             }

@@ -198,7 +198,6 @@ class DiskArchive:
         model: MemoryModel,
         cost_model: Optional[DiskCostModel] = None,
         obs: Optional[Instrumentation] = None,
-        shard_id: Optional[int] = None,
         *,
         cache_bytes: int = 0,
         elide_empty: bool = False,
@@ -224,19 +223,10 @@ class DiskArchive:
         self.elide_empty = elide_empty
         self.stats = DiskStats()
         self.obs = obs if obs is not None else Instrumentation()
-        #: Which shard's namespace this archive holds (None = unsharded).
-        #: A sharded system builds one archive per shard; the shard id
-        #: labels this archive's counters so ``snapshot()`` can expose
-        #: per-shard I/O alongside the aggregate ``disk.*`` series.
-        self.shard_id = shard_id
-        self._shard_prefix = None if shard_id is None else f"shard.{shard_id}.disk."
 
     def _count(self, name: str, amount: float = 1) -> None:
-        """Increment the aggregate counter and its per-shard twin."""
-        registry = self.obs.registry
-        registry.counter(f"disk.{name}").inc(amount)
-        if self._shard_prefix is not None:
-            registry.counter(self._shard_prefix + name).inc(amount)
+        """Increment the ``disk.<name>`` counter."""
+        self.obs.registry.counter(f"disk.{name}").inc(amount)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -370,8 +360,7 @@ class DiskArchive:
     def elides(self, key: Hashable) -> bool:
         """True when elision is on and ``key`` provably has no postings.
 
-        Callers (the executor's miss paths, the sharded router) use this
-        to skip a disk lookup entirely — no seek, no ``index_lookups``
+        The executor's miss paths use this to skip a disk lookup entirely — no seek, no ``index_lookups``
         tick — for keys the archive has never indexed.  Counted under
         ``disk.lookups_elided``.  Always ``False`` with the gate off, so
         default behaviour (every miss pays the lookup) is unchanged.
@@ -380,7 +369,7 @@ class DiskArchive:
             return False
         self.stats.lookups_elided += 1
         self._count("lookups_elided")
-        self.obs.trace_point("disk.elide", key=str(key), shard=self.shard_id)
+        self.obs.trace_point("disk.elide", key=str(key))
         return True
 
     def lookup(
@@ -399,9 +388,7 @@ class DiskArchive:
         """
         if self.obs.current_trace is None:
             return self._lookup(key, limit, None)
-        with self.obs.trace_span(
-            "disk.lookup", key=str(key), shard=self.shard_id
-        ) as extra:
+        with self.obs.trace_span("disk.lookup", key=str(key)) as extra:
             result = self._lookup(key, limit, extra)
             extra["postings"] = len(result)
             extra["runs"] = self.run_count(key)

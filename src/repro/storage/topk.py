@@ -1,10 +1,10 @@
 """Shared top-k merge: one implementation for every merge site.
 
-Top-k merging appears at three layers of the system — the query
-executor's memory/disk merge, the sharded scatter-gather path, and the
-segmented index's cross-segment candidate gather — and they must agree
-exactly (same dedup rule, same ordering, same tie behaviour) or the
-differential tests between those paths become meaningless.  This module
+Top-k merging appears at two layers of the system — the query
+executor's memory/disk merge and the segmented index's cross-segment
+candidate gather — and they must agree exactly (same dedup rule, same
+ordering, same tie behaviour) or the differential tests between those
+paths become meaningless.  This module
 is the single implementation they all call.
 
 Semantics:

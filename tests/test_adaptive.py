@@ -18,28 +18,23 @@ The correctness anchors of PR 9:
   attribution record instead of dropping them silently.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.core.adaptive import (
-    AdaptiveController,
     AdaptiveSettings,
     KAllocator,
     KeyHeat,
-    ShardBudgetBalancer,
 )
-from repro.engine.sharded import build_system
+from repro.engine.system import MicroblogSystem
 from repro.errors import ConfigurationError
 from repro.experiments.runner import TrialSpec, run_trial
 from repro.obs import Instrumentation
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.workload.stream import MicroblogStream, StreamConfig
-from tests.test_experiments import MICRO
-from tests.test_sharding import DETERMINISTIC_FIELDS
+from tests.test_experiments import DETERMINISTIC_FIELDS, MICRO
 
 #: A retune interval no MICRO-scale run ever reaches: the controller is
 #: armed (heat tracking, ledger, allocator all live) but never fires.
@@ -67,25 +62,8 @@ class TestAdaptiveOffDifferential:
         )
         assert _fields(static) == _fields(armed)
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_sharded_armed_idle_differential(self, shards):
-        static = run_trial(
-            TrialSpec(policy="kflushing", scale=MICRO, seed=11, shards=shards)
-        )
-        armed = run_trial(
-            TrialSpec(
-                policy="kflushing",
-                scale=MICRO,
-                seed=11,
-                shards=shards,
-                adaptive=True,
-                adaptive_interval=NEVER,
-            )
-        )
-        assert _fields(static) == _fields(armed)
-
     def test_default_config_has_no_controller(self):
-        system = build_system(SystemConfig(memory_capacity_bytes=200_000))
+        system = MicroblogSystem(SystemConfig(memory_capacity_bytes=200_000))
         assert system.engine.adaptive is None
         assert system.engine.allocator is None
         assert system.engine.key_heat is None
@@ -109,7 +87,7 @@ class TestControllerDeterminism:
                 adaptive=True,
             )
             obs = Instrumentation()
-            system = build_system(config, obs=obs)
+            system = MicroblogSystem(config, obs=obs)
             stream = MicroblogStream(
                 StreamConfig(seed=3, vocabulary_size=300, with_locations=False)
             )
@@ -220,7 +198,7 @@ class TestControllerLevers:
         config = SystemConfig(
             policy="kflushing", k=5, memory_capacity_bytes=200_000, adaptive=True
         )
-        return build_system(config)
+        return MicroblogSystem(config)
 
     def test_promotion_and_demotion(self):
         system = self._engine_stub()
@@ -273,49 +251,6 @@ class TestControllerLevers:
         assert engine.escalation_slack == 0.0
 
 
-class TestShardBudgetBalancer:
-    def _sharded(self, shards=4):
-        return build_system(
-            SystemConfig(
-                memory_capacity_bytes=400_000, shards=shards, adaptive=True
-            )
-        )
-
-    def test_rebalance_is_bounded_and_sum_preserving(self):
-        system = self._sharded()
-        shards = system.shards
-        total0 = sum(s.capacity_bytes for s in shards)
-        balancer = system._balancer
-        assert balancer is not None
-        # Fake a skewed flush window: shard 0 flushed, others idle.
-        balancer._last_counts = [0] * len(shards)
-        shards[0].engine.flush_reports.extend([object()] * 5)
-        balancer.rebalance(system)
-        assert sum(s.capacity_bytes for s in shards) == total0
-        step = int(total0 * balancer.settings.shard_step)
-        assert shards[0].capacity_bytes <= total0 // len(shards) + step
-        # The engine's own budget field moved with the shard's.
-        for shard in shards:
-            assert shard.engine.capacity_bytes == shard.capacity_bytes
-
-    def test_floor_prevents_starvation(self):
-        system = self._sharded()
-        shards = system.shards
-        balancer = system._balancer
-        for round_ in range(50):
-            balancer._last_counts = [0] * len(shards)
-            shards[0].engine.flush_reports.extend([object()] * 3)
-            balancer.rebalance(system)
-        for shard, floor in zip(shards, balancer._floors):
-            assert shard.capacity_bytes >= floor
-
-    def test_single_shard_has_no_balancer(self):
-        system = build_system(
-            SystemConfig(memory_capacity_bytes=200_000, adaptive=True)
-        )
-        assert getattr(system, "_balancer", None) is None
-
-
 class TestEvictionLedgerOverflow:
     def test_tiny_ledger_counts_drops(self):
         """Overflowing the attribution ledger is visible, not silent."""
@@ -326,7 +261,7 @@ class TestEvictionLedgerOverflow:
             memory_capacity_bytes=60_000,
             eviction_ledger_capacity=4,
         )
-        system = build_system(config, obs=obs)
+        system = MicroblogSystem(config, obs=obs)
         stream = MicroblogStream(
             StreamConfig(seed=5, vocabulary_size=500, with_locations=False)
         )
@@ -337,7 +272,7 @@ class TestEvictionLedgerOverflow:
 
     def test_default_capacity_never_drops_here(self):
         obs = Instrumentation(attribution=True)
-        system = build_system(
+        system = MicroblogSystem(
             SystemConfig(
                 policy="kflushing", k=5, memory_capacity_bytes=60_000
             ),
@@ -357,7 +292,7 @@ class TestHotKeysSnapshot:
         config = SystemConfig(
             policy="kflushing", k=5, memory_capacity_bytes=150_000, adaptive=True
         )
-        system = build_system(config)
+        system = MicroblogSystem(config)
         stream = MicroblogStream(
             StreamConfig(seed=6, vocabulary_size=300, with_locations=False)
         )
@@ -375,7 +310,7 @@ class TestHotKeysSnapshot:
         assert counts == sorted(counts, reverse=True)
 
     def test_snapshot_has_no_hot_keys_by_default(self):
-        system = build_system(SystemConfig(memory_capacity_bytes=150_000))
+        system = MicroblogSystem(SystemConfig(memory_capacity_bytes=150_000))
         assert "hot_keys" not in system.snapshot()
 
 
@@ -387,8 +322,6 @@ class TestConfigValidation:
             SystemConfig(memory_capacity_bytes=1000, k=20, adaptive_k_max=10)
         with pytest.raises(ConfigurationError):
             SystemConfig(memory_capacity_bytes=1000, adaptive_hot_keys=0)
-        with pytest.raises(ConfigurationError):
-            SystemConfig(memory_capacity_bytes=1000, adaptive_shard_step=1.5)
         with pytest.raises(ConfigurationError):
             SystemConfig(memory_capacity_bytes=1000, eviction_ledger_capacity=0)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.engine.queries import AndQuery
-from repro.engine.sharded import ShardedMicroblogSystem, build_system
+from repro.engine.system import MicroblogSystem
 from repro.model.microblog import Microblog
 
 KEYS = [f"kw{i}" for i in range(6)]
@@ -42,23 +42,8 @@ config_strategy = st.fixed_dictionaries(
         "and_scan_depth": st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
         "and_disk_limit": st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
         "disk_elide_empty": st.booleans(),
-        "shards": st.sampled_from([1, 4]),
     }
 )
-
-
-def _engines(system):
-    if isinstance(system, ShardedMicroblogSystem):
-        return [shard.engine for shard in system.shards]
-    return [system.engine]
-
-
-def _owner(system, key):
-    """The memory engine and disk archive holding ``key``."""
-    if isinstance(system, ShardedMicroblogSystem):
-        shard = system.shards[system.router.shard_of(key)]
-        return shard.engine, shard.disk
-    return system.engine, system.disk
 
 
 def oracle_and(system, config, strict_and, keys, k, records):
@@ -66,8 +51,8 @@ def oracle_and(system, config, strict_and, keys, k, records):
     depth, limit = config.and_scan_depth, config.and_disk_limit
     sort_key = lambda p: p.sort_key  # noqa: E731
     memory, disk = [], []
+    engine, archive = system.engine, system.disk
     for key in keys:
-        engine, archive = _owner(system, key)
         lookup = engine.lookup(key, depth=None)
         candidates = list(lookup.candidates)
         if depth is not None:
@@ -125,7 +110,7 @@ def test_and_matches_oracle(stream, queries, overrides, strict_and):
     config = SystemConfig(
         memory_capacity_bytes=8_000, flush_fraction=0.3, **overrides
     )
-    system = build_system(config, strict_and=strict_and)
+    system = MicroblogSystem(config, strict_and=strict_and)
     records = []
     for i, (keywords, flush) in enumerate(stream):
         record = Microblog(
@@ -134,8 +119,7 @@ def test_and_matches_oracle(stream, queries, overrides, strict_and):
         system.ingest(record)
         records.append(record)
         if flush:
-            for engine in _engines(system):
-                engine.run_flush(now=float(i))
+            system.engine.run_flush(now=float(i))
     for keys in queries:
         k = config.k
         expected = oracle_and(system, config, strict_and, keys, k, records)

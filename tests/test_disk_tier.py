@@ -12,8 +12,6 @@ Three families of guarantees:
   commits (including re-flushed postings) and compactions, and always
   match the flat reference layout; cache-on lookups equal cache-off
   lookups under random interleavings of commits and reads.
-* **Sharded routing** — ``_RoutedDisk.elides`` consults exactly the
-  shard that owns the key.
 """
 
 from __future__ import annotations
@@ -23,41 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig
-from repro.engine.sharded import build_system
+from repro.engine.system import MicroblogSystem
 from repro.experiments.runner import TrialSpec, run_trial
-from repro.experiments.scale import ScalePreset
 from repro.storage.disk import DiskArchive
 from repro.storage.memory_model import MemoryModel
 from repro.storage.posting_list import Posting
 from repro.workload.queryload import QueryLoad, QueryLoadConfig
 from repro.workload.stream import MicroblogStream, StreamConfig
-
-#: TrialResult fields that must be bit-identical across equivalent
-#: configurations (same tuple the sharding differential uses).
-DETERMINISTIC_FIELDS = (
-    "hit_ratio",
-    "hit_ratio_by_mode",
-    "k_filled",
-    "flush_count",
-    "records_ingested",
-    "queries_run",
-    "policy_overhead_bytes",
-    "mean_flush_freed_fraction",
-    "memory_utilization",
-)
-
-MICRO = ScalePreset(
-    name="micro",
-    bytes_per_gb=8_000,
-    vocabulary_size=400,
-    user_count=400,
-    warm_flushes=2,
-    max_warm_records=30_000,
-    eval_records=800,
-    queries_per_record=1.0,
-    and_scan_depth=100,
-    and_disk_limit=100,
-)
+from tests.test_experiments import DETERMINISTIC_FIELDS, MICRO
 
 
 def posting(i: int, score: float | None = None) -> Posting:
@@ -93,7 +64,7 @@ class TestRunsLayoutDifferential:
                 and_scan_depth=100,
                 and_disk_limit=100,
             )
-            system = build_system(config)
+            system = MicroblogSystem(config)
             stream = MicroblogStream(
                 StreamConfig(seed=5, vocabulary_size=300, with_locations=False)
             )
@@ -131,7 +102,7 @@ def _query_answers(
     vocabulary: int = 300,
 ):
     """Ingest a fixed stream, run a fixed query load, return the answers."""
-    system = build_system(config)
+    system = MicroblogSystem(config)
     stream = MicroblogStream(
         StreamConfig(seed=seed, vocabulary_size=vocabulary, with_locations=False)
     )
@@ -301,66 +272,3 @@ def test_cached_reads_equal_uncached_reads(ops):
         else:
             assert list(cached.lookup(key)) == list(plain.lookup(key))
     assert cached.stats.index_lookups == plain.stats.index_lookups
-
-
-# ----------------------------------------------------------------------
-# Sharded routing
-# ----------------------------------------------------------------------
-
-
-class TestShardedElision:
-    def test_routed_elides_consults_owning_shard(self):
-        config = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=250_000,
-            shards=4,
-            disk_elide_empty=True,
-        )
-        system = build_system(config)
-        stream = MicroblogStream(
-            StreamConfig(seed=3, vocabulary_size=300, with_locations=False)
-        )
-        system.ingest_many(stream.take(9_000))
-        routed = system.executor._disk
-        assert routed.elides("a-keyword-never-ingested-xyz") is True
-        total_elided = sum(
-            shard.disk.stats.lookups_elided for shard in system.shards
-        )
-        assert total_elided == 1
-        # A key some shard's archive holds must never be elided.
-        flushed_keys = [
-            key
-            for shard in system.shards
-            if shard.disk.key_count
-            for key in [next(iter(shard.disk._index))]
-        ]
-        assert flushed_keys, "workload should have flushed postings"
-        assert routed.elides(flushed_keys[0]) is False
-
-    def test_per_shard_cache_slices_sum_to_budget(self):
-        config = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=250_000,
-            shards=3,
-            disk_cache_bytes=10_001,
-        )
-        system = build_system(config)
-        capacities = [shard.disk.cache.capacity_bytes for shard in system.shards]
-        assert sum(capacities) == 10_001
-        assert max(capacities) - min(capacities) <= 1
-
-    def test_sharded_answers_unchanged_by_gates(self):
-        base = SystemConfig(
-            policy="kflushing",
-            memory_capacity_bytes=250_000,
-            shards=2,
-            and_scan_depth=100,
-            and_disk_limit=100,
-        )
-        _, plain = _query_answers(base)
-        _, gated = _query_answers(
-            base.with_overrides(disk_cache_bytes=40_000, disk_elide_empty=True)
-        )
-        for (p_post, p_hit, _), (g_post, g_hit, _) in zip(plain, gated):
-            assert p_post == g_post
-            assert p_hit == g_hit

@@ -32,6 +32,19 @@ MICRO = ScalePreset(
     and_disk_limit=100,
 )
 
+#: Deterministic TrialResult fields (wall-clock rates excluded).
+DETERMINISTIC_FIELDS = (
+    "hit_ratio",
+    "hit_ratio_by_mode",
+    "k_filled",
+    "flush_count",
+    "records_ingested",
+    "queries_run",
+    "policy_overhead_bytes",
+    "mean_flush_freed_fraction",
+    "memory_utilization",
+)
+
 
 class TestScalePresets:
     def test_registry(self):

@@ -30,17 +30,14 @@ _WALL_CLOCK_FIELDS = ("spec", "insert_rate", "effective_digestion_rate")
 def _specs() -> dict[str, dict]:
     specs: dict[str, dict] = {}
     for policy in ("fifo", "lru", "kflushing", "kflushing-mk"):
-        for shards in (1, 4):
-            for mode in ("correlated", "uniform"):
-                specs[f"{policy}-s{shards}-{mode}"] = dict(
-                    policy=policy, shards=shards, workload_mode=mode
-                )
+        for mode in ("correlated", "uniform"):
+            specs[f"{policy}-s1-{mode}"] = dict(policy=policy, workload_mode=mode)
     specs["kflushing-strict-and"] = dict(policy="kflushing", strict_and=True)
     specs["kflushing-disk-elide-empty"] = dict(
         policy="kflushing", disk_elide_empty=True
     )
-    specs["kflushing-s4-disk-cache"] = dict(
-        policy="kflushing", shards=4, disk_cache_bytes=20_000
+    specs["kflushing-s1-disk-cache"] = dict(
+        policy="kflushing", disk_cache_bytes=20_000
     )
     specs["kflushing-adaptive"] = dict(policy="kflushing", adaptive=True)
     return specs

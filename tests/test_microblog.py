@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.engine.queries import KeywordQuery
-from repro.engine.sharded import build_system
+from repro.engine.system import MicroblogSystem
 from repro.model.microblog import GeoPoint, Microblog
 
 
@@ -123,10 +123,9 @@ class TestMicroblog:
         assert blog in {blog}
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 @pytest.mark.parametrize("policy", ["kflushing", "kflushing-mk", "fifo", "lru"])
-def test_repeated_keyword_posts_record_once(policy, shards):
-    system = build_system(SystemConfig(policy=policy, k=3, shards=shards))
+def test_repeated_keyword_posts_record_once(policy):
+    system = MicroblogSystem(SystemConfig(policy=policy, k=3))
     system.ingest(Microblog(blog_id=1, timestamp=1.0, user_id=0, keywords=("a", "a")))
     system.ingest(Microblog(blog_id=2, timestamp=2.0, user_id=0, keywords=("a",)))
     system.check_integrity()

@@ -20,7 +20,6 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.config import SystemConfig
-from repro.engine.sharded import build_system
 from repro.engine.system import MicroblogSystem
 from repro.errors import ConfigurationError
 from repro.experiments.runner import TrialSpec, run_trial
@@ -425,7 +424,7 @@ _PERMISSIVE = json.dumps(
 
 
 def _drive(config: SystemConfig, records: int = 15_000):
-    system = build_system(config)
+    system = MicroblogSystem(config)
     stream = MicroblogStream(
         StreamConfig(seed=11, vocabulary_size=2_000, with_locations=False)
     )
@@ -433,22 +432,14 @@ def _drive(config: SystemConfig, records: int = 15_000):
     return system
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        pytest.param({}, id="unsharded"),
-        pytest.param({"shards": 4}, id="sharded"),
-    ],
-)
 class TestSystemIntegration:
-    def test_forced_breach_dumps_black_box(self, tmp_path, overrides):
+    def test_forced_breach_dumps_black_box(self, tmp_path):
         dump_path = tmp_path / "box.jsonl"
         config = SystemConfig(
             memory_capacity_bytes=400_000,
             slo_spec=_UNMEETABLE,
             flight_recorder_events=64,
             flight_recorder_path=str(dump_path),
-            **overrides,
         )
         system = _drive(config)
         state = system.slo_state()
@@ -462,27 +453,21 @@ class TestSystemIntegration:
         slo_line = next(l for l in lines if l["type"] == "slo_state")
         assert slo_line["slo"]["healthy"] is False
 
-    def test_permissive_spec_stays_healthy(self, overrides):
-        config = SystemConfig(
-            memory_capacity_bytes=400_000, slo_spec=_PERMISSIVE, **overrides
-        )
+    def test_permissive_spec_stays_healthy(self):
+        config = SystemConfig(memory_capacity_bytes=400_000, slo_spec=_PERMISSIVE)
         system = _drive(config)
         state = system.slo_state()
         assert state is not None and state["healthy"] is True
         assert state["ticks"] > 0  # flush boundaries actually ticked
 
-    def test_watermarks_surface_in_registry(self, overrides):
-        config = SystemConfig(memory_capacity_bytes=400_000, **overrides)
+    def test_watermarks_surface_in_registry(self):
+        config = SystemConfig(memory_capacity_bytes=400_000)
         system = _drive(config)
         assert system.slo_state() is None  # no spec configured
         marks = system.watermarks.table()
         assert marks.get("memory.bytes_used", 0) > 0
         gauges = system.obs.registry.snapshot()["gauges"]
         assert gauges["watermark.memory.bytes_used"] > 0
-        if overrides.get("shards"):
-            assert any(
-                name.startswith("watermark.shard.") for name in gauges
-            )
 
 
 def test_on_demand_dump_without_breach(tmp_path):
@@ -531,7 +516,6 @@ def _comparable(result):
         pytest.param(dict(policy="lru"), id="lru"),
         pytest.param(dict(policy="kflushing"), id="kflushing"),
         pytest.param(dict(policy="kflushing-mk"), id="kflushing-mk"),
-        pytest.param(dict(policy="kflushing", shards=4), id="kflushing-shards4"),
     ],
 )
 def test_trial_results_bit_identical_with_slo_and_recorder(overrides):

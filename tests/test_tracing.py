@@ -14,7 +14,6 @@ from repro.core.eviction_ledger import (
     EvictionRecord,
 )
 from repro.engine.queries import AndQuery, KeywordQuery, OrQuery
-from repro.engine.sharded import ShardedMicroblogSystem, ShardRouter
 from repro.engine.system import MicroblogSystem
 from repro.obs import (
     Histogram,
@@ -33,22 +32,18 @@ from repro.obs.traceview import (
     miss_cause_table,
     query_summaries,
 )
-from tests.conftest import make_blog, make_blogs
+from tests.conftest import make_blog
 
 POLICIES = ("fifo", "kflushing", "kflushing-mk", "lru")
 WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta")
 
 
-def traced_system(policy="kflushing", shards=1, **overrides):
-    defaults = dict(policy=policy, k=3, memory_capacity_bytes=6_000, shards=shards)
+def traced_system(policy="kflushing", **overrides):
+    defaults = dict(policy=policy, k=3, memory_capacity_bytes=6_000)
     defaults.update(overrides)
     sink = ListSink()
     obs = Instrumentation(sink=sink, tracing=True, attribution=True)
-    config = SystemConfig(**defaults)
-    if shards > 1:
-        system = ShardedMicroblogSystem(config, obs=obs)
-    else:
-        system = MicroblogSystem(config, obs=obs)
+    system = MicroblogSystem(SystemConfig(**defaults), obs=obs)
     return system, obs, sink
 
 
@@ -182,8 +177,8 @@ class TestDeterministicTraceIds:
 
 
 class TestTracePropagation:
-    def _query_traces(self, shards):
-        system, obs, sink = traced_system(shards=shards)
+    def _query_traces(self):
+        system, obs, sink = traced_system()
         churn(system)
         run_query_mix(system)
         events = [e for e in sink.events if "trace" in e and "span" in e]
@@ -192,23 +187,11 @@ class TestTracePropagation:
         assert queries, "expected query traces"
         return system, queries
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_child_spans_sum_within_parent(self, shards):
-        _, queries = self._query_traces(shards)
+    def test_child_spans_sum_within_parent(self):
+        _, queries = self._query_traces()
         for trace in queries:
             for node in trace.root.walk():
                 assert node.child_seconds <= node.seconds + 1e-6
-
-    def test_sharded_spans_reference_only_owning_shards(self):
-        system, queries = self._query_traces(shards=4)
-        router = ShardRouter(4)
-        checked = 0
-        for trace in queries:
-            for node in trace.root.walk():
-                if node.name in ("shard.memory.lookup", "shard.disk.lookup"):
-                    assert node.fields["shard"] == router.shard_of(node.fields["key"])
-                    checked += 1
-        assert checked > 0
 
     def test_flush_traces_carry_phase_children(self):
         system, obs, sink = traced_system()
@@ -356,7 +339,6 @@ class TestPrometheusGolden:
     def test_golden_text_round_trip(self):
         registry = MetricsRegistry()
         registry.counter("query.single.hits").inc(3)
-        registry.counter("shard.0.query.single.misses").inc(2)
         registry.gauge("memory.bytes").set(123)
         hist = registry.histogram("span.flush.seconds")
         hist.record(0.25)
@@ -365,9 +347,6 @@ class TestPrometheusGolden:
 # HELP repro_query_single_hits_total Query execution: per-mode hits/misses, disk lookups, latency
 # TYPE repro_query_single_hits_total counter
 repro_query_single_hits_total 3
-# HELP repro_shard_0_query_single_misses_total Query execution: per-mode hits/misses, disk lookups, latency (per-shard twin)
-# TYPE repro_shard_0_query_single_misses_total counter
-repro_shard_0_query_single_misses_total 2
 # HELP repro_memory_bytes In-memory index occupancy and capacity
 # TYPE repro_memory_bytes gauge
 repro_memory_bytes 123
@@ -423,7 +402,7 @@ class TestTraceview:
     def _events(self):
         return [
             {"type": "trace", "trace": "query-1", "span": 1, "parent_span": 0,
-             "name": "disk.lookup", "seconds": 0.002, "cache": "miss", "shard": 0},
+             "name": "disk.lookup", "seconds": 0.002, "cache": "miss"},
             {"type": "trace", "trace": "query-1", "span": 0, "parent_span": None,
              "name": "query", "seconds": 0.01, "mode": "single", "hit": False,
              "miss_cause": "phase1-regular", "disk_lookups": 1},
